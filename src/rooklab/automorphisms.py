@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import config
-from .core import GraphSpec, Vertex, adjacent, csr_spec, validate_vertex
-from .errors import CapExceededError
+from .core import GraphSpec, Vertex, adjacent, check_cap, csr_spec, validate_vertex
 from .oracles import _bit_graph, _bits
 
 
@@ -74,19 +73,12 @@ def preserves_adjacency(desc: AutDescriptor, spec: GraphSpec, edges) -> bool:
     return True
 
 
+def _units(n: int) -> list[int]:
+    return [c for c in range(n) if math.gcd(c, n) == 1]
+
+
 def euler_phi(n: int) -> int:
-    result = n
-    remaining = n
-    d = 2
-    while d * d <= remaining:
-        if remaining % d == 0:
-            while remaining % d == 0:
-                remaining //= d
-            result -= result // d
-        d += 1
-    if remaining > 1:
-        result -= result // remaining
-    return result
+    return len(_units(n))
 
 
 def group_order_formula(m: int, n: int) -> int:
@@ -104,9 +96,8 @@ def enumerate_group(m: int, n: int) -> Iterator[AutDescriptor]:
     """All descriptors, each exactly once, in lexicographic order of
     (sigma, c, offset prefix); the last offset entry is determined."""
     csr_spec(m, n)
-    units = [c for c in range(n) if math.gcd(c, n) == 1]
     for sigma in itertools.permutations(range(m)):
-        for c in units:
+        for c in _units(n):
             for prefix in itertools.product(range(n), repeat=m - 1):
                 d = prefix + ((-sum(prefix)) % n,)
                 yield AutDescriptor(n, sigma, c, d)
@@ -123,11 +114,7 @@ def oracle_aut_count(spec: GraphSpec, cap: int | None = None) -> int:
     (plain degree refinement is useless on these vertex-transitive graphs).
     """
     limit = config.aut_cap(cap)
-    if spec.vertex_count > limit:
-        raise CapExceededError(
-            f"{spec.label()} has {spec.vertex_count} vertices, over the "
-            f"automorphism search cap {limit}"
-        )
+    check_cap(spec, limit, "automorphism search")
     verts, adj = _bit_graph(spec, max(limit, spec.vertex_count))
     nv = len(verts)
     if nv == 1:

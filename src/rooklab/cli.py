@@ -41,6 +41,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _strict_exit(args, discrepancy) -> int:
+    """EXIT_DISCREPANCY when a discrepancy surfaced under --strict, else EXIT_OK."""
+    return EXIT_DISCREPANCY if args.strict and discrepancy else EXIT_OK
+
+
 def _spec_from_args(args) -> GraphSpec:
     return GraphSpec(args.family.upper(), args.m, args.n)
 
@@ -59,73 +64,52 @@ def _build_parser() -> _Parser:
         "--strict", action="store_true", help="exit 3 when a discrepancy is found"
     )
 
+    def spec_command(sub, name, func, choices=("sr", "csr"), default=None, **kwargs):
+        """A subcommand with --family (required unless it has a default), -m and -n."""
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.add_argument("--family", required=default is None, default=default, choices=choices)
+        p.add_argument("-m", type=int, required=True)
+        p.add_argument("-n", type=int, required=True)
+        p.set_defaults(func=func)
+        return p
+
     parser = _Parser(prog="rooklab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("generate", parents=[common], help="write the canonical edge list")
-    p.add_argument("--family", required=True, choices=["sr", "csr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = spec_command(sub, "generate", _cmd_generate, help="write the canonical edge list")
     p.add_argument("--edges-out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("analyze", parents=[common], help="full invariant report")
-    p.add_argument("--family", required=True, choices=["sr", "csr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = spec_command(sub, "analyze", _cmd_analyze, help="full invariant report")
     p.add_argument(
         "--oracle",
         default="none",
         help="'all', 'none', or comma list from alpha,gamma,omega,chi,diameter",
     )
     p.add_argument("--json", default=None, help="also write the report as JSON to this path")
-    p.set_defaults(func=_cmd_analyze)
 
     build = sub.add_parser("construct", help="run one construction with verification")
     what = build.add_subparsers(dest="what", required=True, parser_class=_Parser)
 
-    p = what.add_parser("independent-set", parents=[common])
-    p.add_argument("--family", required=True, choices=["sr", "csr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = spec_command(what, "independent-set", _cmd_independent_set)
     p.add_argument("--prime", type=int, default=None)
-    p.set_defaults(func=_cmd_independent_set)
 
-    p = what.add_parser("dominating-set", parents=[common])
-    p.add_argument("--family", default="sr", choices=["sr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = spec_command(what, "dominating-set", _cmd_dominating_set, ["sr"], "sr")
     p.add_argument("--conjectured", action="store_true", help="the diagonal m=3 candidate set")
     p.add_argument("--oracle", action="store_true", help="compare against exact gamma")
-    p.set_defaults(func=_cmd_dominating_set)
 
-    p = what.add_parser("hamiltonian-cycle", parents=[common])
-    p.add_argument("--family", default="sr", choices=["sr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = spec_command(what, "hamiltonian-cycle", _cmd_hamiltonian, ["sr"], "sr")
     p.add_argument("--out", default=None, help="write the cycle, one vertex per line")
-    p.set_defaults(func=_cmd_hamiltonian)
 
-    p = what.add_parser("clique", parents=[common])
-    p.add_argument("--family", default="csr", choices=["csr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=_cmd_clique)
+    spec_command(what, "clique", _cmd_clique, ["csr"], "csr")
 
-    p = what.add_parser("coloring", parents=[common])
-    p.add_argument("--family", required=True, choices=["sr", "csr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = spec_command(what, "coloring", _cmd_coloring)
     p.add_argument("--prime", type=int, default=None)
-    p.set_defaults(func=_cmd_coloring)
 
-    p = sub.add_parser("distance", parents=[common], help="CSR distance with witness")
-    p.add_argument("--family", default="csr", choices=["csr"])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = spec_command(
+        sub, "distance", _cmd_distance, ["csr"], "csr", help="CSR distance with witness"
+    )
     p.add_argument("--from", dest="source", required=True, help="vertex as comma list")
     p.add_argument("--to", dest="target", required=True, help="vertex as comma list")
-    p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("aut", parents=[common], help="CSR automorphism group")
     p.add_argument("-m", type=int, required=True)
@@ -169,9 +153,7 @@ def _cmd_analyze(args) -> int:
         with open(args.json, "w") as out:
             json.dump(result.to_json(), out, indent=2, sort_keys=True)
             out.write("\n")
-    if args.strict and result.has_discrepancy:
-        return EXIT_DISCREPANCY
-    return EXIT_OK
+    return _strict_exit(args, result.has_discrepancy)
 
 
 def _cmd_independent_set(args) -> int:
@@ -186,9 +168,7 @@ def _cmd_independent_set(args) -> int:
         print(f"vertex {format_vertex(v)}")
     failures = family.independent.count(False)
     print(f"verdict proper-partition={'yes' if failures == 0 else 'no'} failing-classes={failures}")
-    if args.strict and failures:
-        return EXIT_DISCREPANCY
-    return EXIT_OK
+    return _strict_exit(args, failures)
 
 
 def _cmd_dominating_set(args) -> int:
@@ -205,11 +185,7 @@ def _cmd_dominating_set(args) -> int:
         if result.oracle_gamma is not None:
             match = "yes" if result.matches_oracle else "no"
             print(f"oracle gamma={result.oracle_gamma} matches={match}")
-            if args.strict and not result.matches_oracle:
-                return EXIT_DISCREPANCY
-        if args.strict and not result.dominates:
-            return EXIT_DISCREPANCY
-        return EXIT_OK
+        return _strict_exit(args, result.matches_oracle is False or not result.dominates)
 
     dom = constructions.dominating_set_sr(args.m, args.n, cap=args.enum_cap)
     spec = dom.spec
@@ -228,9 +204,7 @@ def _cmd_dominating_set(args) -> int:
     if args.oracle:
         gamma = oracles.oracle_gamma(spec)[0]
         print(f"oracle gamma={gamma} gap={dom.size - gamma}")
-    if args.strict and bad:
-        return EXIT_DISCREPANCY
-    return EXIT_OK
+    return _strict_exit(args, bad)
 
 
 def _cmd_hamiltonian(args) -> int:
@@ -270,16 +244,9 @@ def _cmd_coloring(args) -> int:
     )
     print(
         f"verdict proper={'yes' if result.proper else 'no'} violations={result.violations}"
-        + (
-            f" first={format_vertex(result.first_violation[0])};"
-            f"{format_vertex(result.first_violation[1])}"
-            if result.first_violation
-            else ""
-        )
+        + result.first_text()
     )
-    if args.strict and not result.proper:
-        return EXIT_DISCREPANCY
-    return EXIT_OK
+    return _strict_exit(args, not result.proper)
 
 
 def _cmd_distance(args) -> int:
@@ -319,8 +286,7 @@ def _cmd_aut(args) -> int:
         # group, so a mismatch there is documentation, not a discrepancy
         if not agree and not outside:
             print("problem detail=oracle disagrees with formula inside its hypothesis")
-            if args.strict:
-                return EXIT_DISCREPANCY
+            return _strict_exit(args, True)
     return EXIT_OK
 
 
@@ -339,9 +305,7 @@ def _cmd_reduce(args) -> int:
         f"solver={'yes' if result.solver_answer else 'no'} "
         f"agree={'yes' if result.agree else 'no'}"
     )
-    if not result.agree and args.strict:
-        return EXIT_DISCREPANCY
-    return EXIT_OK
+    return _strict_exit(args, not result.agree)
 
 
 def main(argv=None) -> int:

@@ -14,14 +14,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     CSR,
     SR,
     GraphSpec,
+    IndexedGraph,
     Vertex,
     adjacent,
     check_enum_cap,
-    enumerate_vertices,
+    format_vertex,
+    indexed_graph,
     iter_vertices,
     neighbors,
     sr_spec,
@@ -35,10 +39,9 @@ def smallest_prime_at_least(k: int) -> int:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     candidate = max(k, 2)
-    while True:
-        if all(candidate % d for d in range(2, math.isqrt(candidate) + 1)):
-            return candidate
+    while not _is_prime(candidate):
         candidate += 1
+    return candidate
 
 
 def _is_prime(p: int) -> bool:
@@ -94,21 +97,29 @@ class ResidueClassFamily:
 
     def best_verified(self) -> tuple[int, list[Vertex]] | None:
         """Largest class that passed the independence scan, or None."""
-        best = None
-        for t, cls in enumerate(self.classes):
-            if self.independent[t] and (best is None or len(cls) > len(self.classes[best])):
-                best = t
-        if best is None:
+        verified = [t for t in range(self.p) if self.independent[t]]
+        if not verified:
             return None
+        best = max(verified, key=lambda t: len(self.classes[t]))  # first of the largest
         return best, self.classes[best]
 
 
-def _class_is_independent(spec: GraphSpec, cls: list[Vertex]) -> bool:
-    for i in range(len(cls)):
-        for j in range(i + 1, len(cls)):
-            if adjacent(spec, cls[i], cls[j]):
-                return False
-    return True
+def _residue_scan(
+    spec: GraphSpec, p: int, cap: int | None
+) -> tuple[IndexedGraph, list[int], np.ndarray, tuple[Vertex, Vertex] | None]:
+    """Residue key of every vertex, the number of edges inside each of the p
+    key classes (a class is independent exactly when its count is 0), and
+    the lexicographically least such edge, or None."""
+    graph = indexed_graph(spec, cap)
+    keys = graph.coords @ np.arange(1, spec.m + 1) % p
+    src, dst = graph.edge_index()
+    inside = keys[src] == keys[dst]
+    counts = np.bincount(keys[src[inside]], minlength=p)
+    first = None
+    if inside.any():
+        at = int(np.argmax(inside))
+        first = (graph.vertices[src[at]], graph.vertices[dst[at]])
+    return graph, keys.tolist(), counts, first
 
 
 def residue_independent_family(
@@ -129,10 +140,11 @@ def residue_independent_family(
             f"p={p} is below {minimum}, the least prime size that makes "
             f"the residue classes of {spec.label()} reliable"
         )
+    graph, keys, counts, _ = _residue_scan(spec, p, cap)
     classes: list[list[Vertex]] = [[] for _ in range(p)]
-    for v in enumerate_vertices(spec, cap):
-        classes[residue_key(v, p)].append(v)
-    independent = [_class_is_independent(spec, cls) for cls in classes]
+    for v, key in zip(graph.vertices, keys):
+        classes[key].append(v)
+    independent = (counts == 0).tolist()
     if spec.family == SR and not all(independent):
         bad = independent.index(False)
         raise InternalConsistencyError(
@@ -395,6 +407,12 @@ class ColoringResult:
     first_violation: tuple[Vertex, Vertex] | None = None
     colors_used: int = 0
 
+    def first_text(self) -> str:
+        """' first=u;v' naming the least monochromatic edge, or ''."""
+        if self.first_violation is None:
+            return ""
+        return " first=" + ";".join(format_vertex(v) for v in self.first_violation)
+
 
 def proper_coloring(
     spec: GraphSpec, p: int | None = None, cap: int | None = None
@@ -410,23 +428,14 @@ def proper_coloring(
         p = default_prime(spec)
     if not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    colors: dict[Vertex, int] = {}
-    for v in enumerate_vertices(spec, cap):
-        colors[v] = residue_key(v, p)
-    violations = 0
-    first: tuple[Vertex, Vertex] | None = None
-    for v in colors:
-        for w in neighbors(spec, v):
-            if v < w and colors[v] == colors[w]:
-                violations += 1
-                if first is None:
-                    first = (v, w)
+    graph, keys, counts, first = _residue_scan(spec, p, cap)
+    violations = int(counts.sum())
     return ColoringResult(
         spec,
         p,
-        colors,
+        dict(zip(graph.vertices, keys)),
         proper=violations == 0,
         violations=violations,
         first_violation=first,
-        colors_used=len(set(colors.values())),
+        colors_used=len(set(keys)),
     )

@@ -7,14 +7,20 @@ they differ in exactly two coordinate positions (the sum constraint then
 forces the two changes to cancel).
 
 Vertices are plain tuples of ints; the canonical order everywhere is the
-tuple's own lexicographic order.  All functions are pure.
+tuple's own lexicographic order.  All functions are pure, except that
+`indexed_graph` keeps the last `IndexedGraph` it built in a one-entry cache
+keyed on the frozen `GraphSpec`, so the scans and oracles of one analysis
+share one build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterator
+
+import numpy as np
 
 from . import config
 from .errors import CapExceededError
@@ -68,14 +74,6 @@ def csr_spec(m: int, n: int) -> GraphSpec:
     return GraphSpec(CSR, m, n)
 
 
-def is_vertex(spec: GraphSpec, v: tuple[int, ...]) -> bool:
-    if len(v) != spec.m:
-        return False
-    if spec.family == SR:
-        return all(x >= 0 for x in v) and sum(v) == spec.n
-    return all(0 <= x < spec.n for x in v) and sum(v) % spec.n == 0
-
-
 def validate_vertex(spec: GraphSpec, v: tuple[int, ...]) -> Vertex:
     """Return v as a vertex of spec, raising ValueError with the reason if not."""
     v = tuple(int(x) for x in v)
@@ -94,17 +92,16 @@ def validate_vertex(spec: GraphSpec, v: tuple[int, ...]) -> Vertex:
     return v
 
 
-def normalize_csr(coords: tuple[int, ...], n: int) -> Vertex:
-    """Reduce arbitrary integer coordinates into the canonical 0..n-1 range."""
-    return tuple(x % n for x in coords)
+def check_cap(spec: GraphSpec, limit: int, name: str) -> None:
+    """Raise CapExceededError when spec has more than `limit` vertices."""
+    if spec.vertex_count > limit:
+        raise CapExceededError(
+            f"{spec.label()} has {spec.vertex_count} vertices, over the {name} cap {limit}"
+        )
 
 
 def check_enum_cap(spec: GraphSpec, cap: int | None = None) -> None:
-    limit = config.enum_cap(cap)
-    if spec.vertex_count > limit:
-        raise CapExceededError(
-            f"{spec.label()} has {spec.vertex_count} vertices, over the enumeration cap {limit}"
-        )
+    check_cap(spec, config.enum_cap(cap), "enumeration")
 
 
 def iter_vertices(spec: GraphSpec) -> Iterator[Vertex]:
@@ -164,44 +161,122 @@ def adjacent(spec: GraphSpec, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return diff == 2
 
 
+def _moves(spec: GraphSpec) -> list[tuple[int, int, int]]:
+    """Every (i, j, delta) taking delta from coordinate i to coordinate j (mod n
+    for CSR).  Each neighbour of v comes from exactly one move that applies
+    to v: for SR the moves with delta <= v[i], for CSR all of them."""
+    m, n = spec.m, spec.n
+    if spec.family == SR:
+        return [(i, j, d) for i in range(m) for j in range(m) if i != j for d in range(1, n + 1)]
+    return [(i, j, d) for i in range(m) for j in range(i + 1, m) for d in range(1, n)]
+
+
 def neighbors(spec: GraphSpec, v: tuple[int, ...]) -> list[Vertex]:
     """Sorted neighbor list, generated directly (no global enumeration)."""
     v = validate_vertex(spec, v)
-    m, n = spec.m, spec.n
     out: list[Vertex] = []
-    if spec.family == SR:
-        # move delta in 1..v[i] from coordinate i to coordinate j
-        for i in range(m):
-            for delta in range(1, v[i] + 1):
-                for j in range(m):
-                    if i == j:
-                        continue
-                    w = list(v)
-                    w[i] -= delta
-                    w[j] += delta
-                    out.append(tuple(w))
-    else:
-        # add alpha(e_i - e_j) for each pair i<j and alpha != 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                for alpha in range(1, n):
-                    w = list(v)
-                    w[i] = (w[i] + alpha) % n
-                    w[j] = (w[j] - alpha) % n
-                    out.append(tuple(w))
+    for i, j, delta in _moves(spec):
+        if spec.family == SR and v[i] < delta:
+            continue
+        w = list(v)
+        w[i] -= delta
+        w[j] += delta
+        if spec.family == CSR:
+            w[i] %= spec.n
+            w[j] %= spec.n
+        out.append(tuple(w))
     out.sort()
     return out
 
 
+class IndexedGraph:
+    """The lexicographic vertex list, its (N, m) coordinate array, and each
+    vertex's neighbours as sorted indices into the list.  `rank` gives the
+    index in closed form, so one coordinate move applied to the whole array
+    at once yields a neighbour index per vertex.  Use `indexed_graph`."""
+
+    def __init__(self, spec: GraphSpec) -> None:
+        self.spec = spec
+        self.vertices = tuple(iter_vertices(spec))
+        self.coords = np.array(self.vertices, dtype=np.int64).reshape(-1, spec.m)
+        self.coords.flags.writeable = False
+        if spec.family == SR:
+            # _binom[r, k] = C(r + k, k): the weak compositions of r into k + 1 parts
+            binom = [[math.comb(r + k, k) for k in range(spec.m)] for r in range(spec.n + 1)]
+            self._binom = np.array(binom, dtype=np.int64)
+
+    def rank(self, coords: np.ndarray) -> np.ndarray:
+        """Lexicographic positions of the vertices given as rows of coords."""
+        m, n = self.spec.m, self.spec.n
+        rank = np.zeros(len(coords), dtype=np.int64)
+        if self.spec.family == CSR:
+            # base n in the free prefix; the last coordinate is determined
+            for i in range(m - 1):
+                rank = rank * n + coords[:, i]
+            return rank
+        # the vertices that agree with v before i and are smaller at i number
+        # C(r + k, k) - C(r - v_i + k, k), where r is the weight left for
+        # positions i.. and k = m - 1 - i the positions after i
+        left = np.full(len(coords), n, dtype=np.int64)
+        for i in range(m - 1):
+            k = m - 1 - i
+            rank += self._binom[left, k] - self._binom[left - coords[:, i], k]
+            left -= coords[:, i]
+        return rank
+
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        """(N, degree) read-only array; row i lists vertex i's neighbour
+        indices in ascending order, which is the order of `neighbors`."""
+        spec, coords = self.spec, self.coords
+        targets = np.empty((len(coords), spec.degree), dtype=np.int64)
+        filled = np.zeros(len(coords), dtype=np.int64)  # columns used so far, per row
+        for i, j, delta in _moves(spec):
+            if spec.family == SR:
+                rows = np.flatnonzero(coords[:, i] >= delta)
+            else:
+                rows = np.arange(len(coords))
+            moved = coords[rows]
+            moved[:, i] -= delta
+            moved[:, j] += delta
+            if spec.family == CSR:
+                moved %= spec.n
+            targets[rows, filled[rows]] = self.rank(moved)
+            filled[rows] += 1
+        targets.sort(axis=1)
+        targets.flags.writeable = False
+        return targets
+
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge once as index arrays (u < v), sorted by (u, v)."""
+        upper = self.targets > np.arange(len(self.vertices))[:, None]
+        return np.nonzero(upper)[0], self.targets[upper]
+
+    def dense(self, dtype=np.float64) -> np.ndarray:
+        """A new dense 0/1 adjacency matrix in vertex order."""
+        mat = np.zeros((len(self.vertices),) * 2, dtype=dtype)
+        mat[np.arange(len(mat))[:, None], self.targets] = 1
+        return mat
+
+
+# one entry serves every caller in one analysis; more would keep earlier
+# specs' arrays alive through the next spec's dense eigensolve
+@functools.lru_cache(maxsize=1)
+def _indexed_graph(spec: GraphSpec) -> IndexedGraph:
+    return IndexedGraph(spec)
+
+
+def indexed_graph(spec: GraphSpec, cap: int | None = None) -> IndexedGraph:
+    """The spec's IndexedGraph, after the enumeration-cap check."""
+    check_enum_cap(spec, cap)
+    return _indexed_graph(spec)
+
+
 def edges(spec: GraphSpec, cap: int | None = None) -> list[tuple[Vertex, Vertex]]:
     """All edges, smaller endpoint first, sorted; each edge exactly once."""
-    check_enum_cap(spec, cap)
-    result: list[tuple[Vertex, Vertex]] = []
-    for v in iter_vertices(spec):
-        for w in neighbors(spec, v):
-            if v < w:
-                result.append((v, w))
-    return result
+    graph = indexed_graph(spec, cap)
+    src, dst = graph.edge_index()
+    return [(graph.vertices[a], graph.vertices[b]) for a, b in zip(src.tolist(), dst.tolist())]
 
 
 # -- edge-list text format ----------------------------------------------------
@@ -224,24 +299,34 @@ def parse_vertex(text: str) -> Vertex:
 def write_edge_list(spec: GraphSpec, out: IO[str], cap: int | None = None) -> int:
     """Write the canonical edge-list text; returns the number of edges."""
     out.write(f"# family={spec.family} m={spec.m} n={spec.n}\n")
-    count = 0
-    for a, b in edges(spec, cap):
-        out.write(f"{format_vertex(a)};{format_vertex(b)}\n")
-        count += 1
-    return count
+    graph = indexed_graph(spec, cap)
+    labels = [format_vertex(v) for v in graph.vertices]
+    src, dst = graph.edge_index()
+    out.writelines(f"{labels[a]};{labels[b]}\n" for a, b in zip(src.tolist(), dst.tolist()))
+    return len(src)
 
 
 def read_edge_list(infile: IO[str]) -> tuple[GraphSpec, list[tuple[Vertex, Vertex]]]:
+    """Parse the edge-list text; a bad header, or an endpoint that is not a
+    vertex of the header's spec, raises ValueError naming the line."""
     header = infile.readline().strip()
     if not header.startswith("#"):
         raise ValueError("edge list must start with a '# family=... m=... n=...' header")
-    fields = dict(part.split("=", 1) for part in header[1:].split())
-    spec = GraphSpec(fields["family"], int(fields["m"]), int(fields["n"]))
+    fields = dict(part.split("=", 1) for part in header[1:].split() if "=" in part)
+    try:
+        spec = GraphSpec(fields["family"], int(fields["m"]), int(fields["n"]))
+    except KeyError as exc:
+        raise ValueError(f"line 1: header lacks {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
     edge_list = []
-    for line in infile:
+    for number, line in enumerate(infile, start=2):
         line = line.strip()
         if not line:
             continue
-        left, right = line.split(";")
-        edge_list.append((parse_vertex(left), parse_vertex(right)))
+        left, _, right = line.partition(";")
+        try:
+            edge_list.append(tuple(validate_vertex(spec, parse_vertex(t)) for t in (left, right)))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     return spec, edge_list

@@ -17,24 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .core import GraphSpec, Vertex, adjacent, enumerate_vertices, neighbors, validate_vertex
-from .errors import CapExceededError
+from .core import GraphSpec, Vertex, adjacent, check_cap, indexed_graph, neighbors, validate_vertex
 
 
 def _bit_graph(spec: GraphSpec, cap: int | None = None) -> tuple[list[Vertex], list[int]]:
     """Canonical vertex list plus one adjacency bitmask per vertex."""
-    limit = config.search_cap(cap)
-    if spec.vertex_count > limit:
-        raise CapExceededError(
-            f"{spec.label()} has {spec.vertex_count} vertices, over the search cap {limit}"
-        )
-    verts = enumerate_vertices(spec)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for w in neighbors(spec, v):
-            adj[i] |= 1 << index[w]
-    return verts, adj
+    check_cap(spec, config.search_cap(cap), "search")
+    graph = indexed_graph(spec)
+    return list(graph.vertices), [sum(1 << j for j in row) for row in graph.targets.tolist()]
 
 
 def _bits(mask: int):
@@ -276,17 +266,10 @@ def all_pairs_distances(
 
     Unreached pairs keep -1.  Quadratic memory; guarded by `cap` vertices.
     """
-    if spec.vertex_count > cap:
-        raise CapExceededError(
-            f"{spec.label()} has {spec.vertex_count} vertices, over the matrix cap {cap}"
-        )
-    verts = enumerate_vertices(spec)
-    nv = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    adjm = np.zeros((nv, nv), dtype=np.float32)
-    for i, v in enumerate(verts):
-        for w in neighbors(spec, v):
-            adjm[i, index[w]] = 1.0
+    check_cap(spec, cap, "matrix")
+    graph = indexed_graph(spec)
+    nv = len(graph.vertices)
+    adjm = graph.dense(np.float32)
     dist = np.full((nv, nv), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
     reached = np.eye(nv, dtype=bool)
@@ -298,7 +281,7 @@ def all_pairs_distances(
         frontier = step & ~reached
         dist[frontier] = d
         reached |= frontier
-    return verts, dist
+    return list(graph.vertices), dist
 
 
 # -- cycle checking ------------------------------------------------------------

@@ -10,7 +10,7 @@ values, never clamped or hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import config
 from .constructions import (
@@ -153,30 +153,9 @@ class AnalysisReport:
                 "degree": self.spec.degree,
             },
             "p": self.p,
-            "bounds": [
-                {"quantity": b.quantity, "side": b.side, "value": b.value, "formula": b.formula}
-                for b in self.bounds
-            ],
-            "quantities": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "constructed": r.constructed,
-                    "construction": r.construction,
-                    "lower": r.lower,
-                    "upper": r.upper,
-                    "exact": r.exact,
-                    "oracle": r.oracle,
-                    "verdict": r.verdict,
-                    "problems": list(r.problems),
-                    "notes": list(r.notes),
-                }
-                for r in self.records
-            ],
-            "checks": [
-                {"name": c.name, "claimed": c.claimed, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "bounds": [asdict(b) for b in self.bounds],
+            "quantities": [asdict(r) for r in self.records],
+            "checks": [asdict(c) for c in self.checks],
             "discrepancy": self.has_discrepancy,
         }
 
@@ -271,15 +250,8 @@ def build_report(
             "residue-coloring",
             claimed=True,
             passed=coloring.proper,
-            detail=(
-                f"p={coloring.p} proper={coloring.proper} violations={coloring.violations}"
-                + (
-                    f" first={format_vertex(coloring.first_violation[0])};"
-                    f"{format_vertex(coloring.first_violation[1])}"
-                    if coloring.first_violation
-                    else ""
-                )
-            ),
+            detail=f"p={coloring.p} proper={coloring.proper} violations={coloring.violations}"
+            + coloring.first_text(),
         )
     )
     chi = QuantityRecord("chi", "min")
@@ -311,7 +283,8 @@ def build_report(
 
     # spectral checks
     if spec.vertex_count <= config.eig_cap(eig_cap):
-        spect = spectral.spectrum(spec, eig_cap, tolerance)
+        eig = spectral.eigenvalues(spec, eig_cap)
+        spect = spectral.spectrum(spec, eig_cap, tolerance, eig)
         report.checks.append(
             CheckRecord(
                 "spectral-integrality",
@@ -321,7 +294,7 @@ def build_report(
             )
         )
         if spec.family == SR:
-            lam = spectral.lambda_min_check(spec, eig_cap, tolerance)
+            lam = spectral.lambda_min_check(spec, eig_cap, tolerance, eig)
             report.checks.append(
                 CheckRecord(
                     "lambda-min",

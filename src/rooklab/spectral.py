@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .core import SR, GraphSpec, csr_spec, enumerate_vertices, neighbors
+from .core import SR, GraphSpec, check_cap, csr_spec, indexed_graph
 from .errors import CapExceededError
 
 
@@ -30,10 +30,7 @@ class Spectrum:
 
     def values(self) -> list[float]:
         """Expanded eigenvalue list, descending."""
-        out: list[float] = []
-        for value, mult in self.pairs:
-            out.extend([value] * mult)
-        return out
+        return [value for value, mult in self.pairs for _ in range(mult)]
 
     def to_records(self) -> dict:
         """Serializable form: one {value, multiplicity} record per distinct
@@ -50,10 +47,6 @@ class Spectrum:
     @property
     def largest(self) -> float:
         return self.pairs[0][0]
-
-    @property
-    def smallest(self) -> float:
-        return self.pairs[-1][0]
 
 
 def _make_spectrum(values: np.ndarray, tolerance: float) -> Spectrum:
@@ -73,23 +66,24 @@ def _make_spectrum(values: np.ndarray, tolerance: float) -> Spectrum:
 
 def adjacency_matrix(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
     """Dense 0/1 adjacency in canonical vertex order."""
-    limit = config.eig_cap(cap)
-    if spec.vertex_count > limit:
-        raise CapExceededError(
-            f"{spec.label()} has {spec.vertex_count} vertices, over the eigensolver cap {limit}"
-        )
-    verts = enumerate_vertices(spec)
-    index = {v: i for i, v in enumerate(verts)}
-    mat = np.zeros((len(verts), len(verts)))
-    for i, v in enumerate(verts):
-        for w in neighbors(spec, v):
-            mat[i, index[w]] = 1.0
-    return mat
+    check_cap(spec, config.eig_cap(cap), "eigensolver")
+    return indexed_graph(spec).dense()
 
 
-def spectrum(spec: GraphSpec, cap: int | None = None, tolerance: float | None = None) -> Spectrum:
-    """Dense symmetric eigendecomposition with an integrality verdict."""
-    eig = np.linalg.eigvalsh(adjacency_matrix(spec, cap))
+def eigenvalues(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the dense adjacency matrix, as eigvalsh gives them."""
+    return np.linalg.eigvalsh(adjacency_matrix(spec, cap))
+
+
+def spectrum(
+    spec: GraphSpec,
+    cap: int | None = None,
+    tolerance: float | None = None,
+    eig: np.ndarray | None = None,
+) -> Spectrum:
+    """Dense symmetric eigendecomposition with an integrality verdict; pass
+    `eig` from `eigenvalues` to reuse one eigensolve."""
+    eig = eigenvalues(spec, cap) if eig is None else eig
     return _make_spectrum(eig, config.tol(tolerance))
 
 
@@ -101,13 +95,17 @@ class LambdaMinCheck:
 
 
 def lambda_min_check(
-    spec: GraphSpec, cap: int | None = None, tolerance: float | None = None
+    spec: GraphSpec,
+    cap: int | None = None,
+    tolerance: float | None = None,
+    eig: np.ndarray | None = None,
 ) -> LambdaMinCheck:
-    """Compare the computed least eigenvalue of an SR graph against the
-    known value max(-n, -C(m, 2))."""
+    """Compare the least eigenvalue eig[0] of an SR graph (not a Spectrum's
+    group mean) against the known max(-n, -C(m, 2)); pass `eig` from
+    `eigenvalues` to reuse one eigensolve."""
     if spec.family != SR:
         raise ValueError(f"least-eigenvalue formula applies to SR only, got {spec.label()}")
-    eig = np.linalg.eigvalsh(adjacency_matrix(spec, cap))
+    eig = eigenvalues(spec, cap) if eig is None else eig
     predicted = max(-spec.n, -math.comb(spec.m, 2))
     computed = float(eig[0])
     return LambdaMinCheck(computed, predicted, abs(computed - predicted) <= config.tol(tolerance))

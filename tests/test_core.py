@@ -163,3 +163,27 @@ def test_edge_list_header():
 def test_edge_list_rejects_missing_header():
     with pytest.raises(ValueError, match="header"):
         read_edge_list(io.StringIO("0,0,2;0,1,1\n"))
+
+
+@pytest.mark.parametrize(
+    "header,missing",
+    [("# m=3 n=2", "family"), ("# family=SR n=2", "m"), ("# family=SR m=3", "n")],
+)
+def test_edge_list_header_missing_field(header, missing):
+    with pytest.raises(ValueError, match=f"line 1: header lacks {missing}"):
+        read_edge_list(io.StringIO(header + "\n0,0,2;0,1,1\n"))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "0,1,1;1,0",  # the right endpoint has 2 coordinates, the spec needs 3
+        "0,0,2;0,0,3",  # coordinate sum 3, not 2
+        "0,0,2;-1,1,2",  # negative coordinate
+        "0,0,2",  # no second endpoint
+    ],
+)
+def test_edge_list_rejects_non_vertex_endpoints(line):
+    text = "# family=SR m=3 n=2\n0,0,2;0,1,1\n" + line + "\n"
+    with pytest.raises(ValueError, match="^line 3: "):
+        read_edge_list(io.StringIO(text))

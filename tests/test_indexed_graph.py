@@ -1,0 +1,111 @@
+"""IndexedGraph against the definitions it replaces: pairwise `adjacent`,
+per-vertex `neighbors`, list positions, a dense matrix filled from
+`neighbors`, and a pairwise scan of every residue class."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from rooklab.constructions import (
+    default_prime,
+    proper_coloring,
+    residue_independent_family,
+    residue_key,
+)
+from rooklab.core import (
+    CSR,
+    SR,
+    GraphSpec,
+    IndexedGraph,
+    adjacent,
+    edges,
+    enumerate_vertices,
+    indexed_graph,
+    neighbors,
+    sr_spec,
+)
+from rooklab.spectral import adjacency_matrix
+
+# every spec with at most 300 vertices and m, n <= 12: this takes in m = 1,
+# SR n = 0 and CSR n in {1, 2}
+SPECS = [
+    spec
+    for family in (SR, CSR)
+    for m in range(1, 13)
+    for n in range(0 if family == SR else 1, 13)
+    if (spec := GraphSpec(family, m, n)).vertex_count <= 300
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=GraphSpec.label)
+def test_graph_matches_definitions(spec):
+    graph = indexed_graph(spec)
+    verts = enumerate_vertices(spec)
+    assert list(graph.vertices) == verts
+    assert graph.rank(graph.coords).tolist() == list(range(len(verts)))
+    assert graph.targets.shape == (len(verts), spec.degree)
+    for i, v in enumerate(verts):
+        assert [verts[j] for j in graph.targets[i]] == neighbors(spec, v)
+    pairs = {(u, w) for u, w in itertools.combinations(verts, 2) if adjacent(spec, u, w)}
+    assert edges(spec) == sorted(pairs)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=GraphSpec.label)
+def test_dense_matrix_bit_identical(spec):
+    verts = enumerate_vertices(spec)
+    index = {v: i for i, v in enumerate(verts)}
+    reference = np.zeros((len(verts), len(verts)))
+    for i, v in enumerate(verts):
+        for w in neighbors(spec, v):
+            reference[i, index[w]] = 1.0
+    mat = adjacency_matrix(spec)
+    assert mat.dtype == reference.dtype and mat.tobytes() == reference.tobytes()
+
+
+def test_rank_sr30_4():
+    # packed base-(n+1) keys would overflow int64 here; the closed form does not
+    graph = IndexedGraph(sr_spec(30, 4))
+    assert graph.rank(graph.coords).tolist() == list(range(len(graph.vertices)))
+
+
+def test_arrays_read_only_and_cached():
+    spec = sr_spec(3, 2)
+    graph = indexed_graph(spec)
+    assert indexed_graph(spec) is graph
+    for array in (graph.coords, graph.targets):
+        with pytest.raises(ValueError):
+            array[0, 0] = 7
+
+
+def _pairwise_scan(spec, p):
+    """Per-class verdicts, the monochromatic edge count and the least such
+    edge, found by testing every pair in each class with `adjacent`."""
+    classes = [[] for _ in range(p)]
+    for v in enumerate_vertices(spec):
+        classes[residue_key(v, p)].append(v)
+    independent, inside = [], []
+    for cls in classes:
+        found = [(u, w) for u, w in itertools.combinations(cls, 2) if adjacent(spec, u, w)]
+        independent.append(not found)
+        inside.extend(found)
+    return classes, independent, len(inside), min(inside, default=None)
+
+
+def _primes_for(spec):
+    least = max(spec.m, spec.n + 1) if spec.family == SR else max(spec.m, spec.n)
+    return sorted({2, 3, 5, 7, default_prime(spec)}), least
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=GraphSpec.label)
+def test_residue_scan_matches_pairwise_reference(spec):
+    primes, least = _primes_for(spec)
+    for p in primes:
+        classes, independent, count, first = _pairwise_scan(spec, p)
+        coloring = proper_coloring(spec, p)
+        assert (coloring.violations, coloring.first_violation) == (count, first), p
+        assert coloring.proper == (count == 0)
+        if p >= least:
+            family = residue_independent_family(spec, p)
+            assert family.classes == classes
+            assert family.independent == independent

@@ -248,3 +248,38 @@ def test_cli_unknown_oracle_name_exit(capsys):
     )
     assert code == 1
     assert "unknown oracle" in err
+
+
+
+# every subcommand that takes --family/-m/-n: (its path, a family it
+# accepts, its other required arguments)
+SPEC_SUBCOMMANDS = [
+    ("generate", "sr", ""),
+    ("analyze", "sr", ""),
+    ("construct independent-set", "sr", ""),
+    ("construct dominating-set", "sr", ""),
+    ("construct hamiltonian-cycle", "sr", ""),
+    ("construct clique", "csr", ""),
+    ("construct coloring", "sr", ""),
+    ("distance", "csr", "--from 0,0 --to 0,0"),
+]
+
+
+@pytest.mark.parametrize("command,family,extra", SPEC_SUBCOMMANDS)
+def test_cli_missing_m_exits_1(command, family, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(f"{command} --family {family} -n 2 {extra}".split())
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rooklab {command} ")
+    assert err.endswith(f"rooklab {command}: error: the following arguments are required: -m\n")
+
+
+@pytest.mark.parametrize("command,family,extra", SPEC_SUBCOMMANDS)
+def test_cli_bad_family_exits_1(command, family, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(f"{command} --family xyz -m 2 -n 2 {extra}".split())
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rooklab {command} ")
+    assert f"rooklab {command}: error: argument --family: invalid choice: 'xyz'" in err
