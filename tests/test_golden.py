@@ -2,12 +2,15 @@
 every written file for a small fixed matrix of commands.
 
 The digests were recorded before the indexed-graph refactor of `core`,
-`oracles`, `spectral` and `constructions`, so any change in what those
-commands print or write shows up here.  Re-record only for an intended
-change of output, by running this file with GOLDEN_PRINT set to 1 (and
-pytest's -s) and pasting the printed rows.  The `analyze` lines print the
-dense eigensolver's deviation from integers, so their digests hold for the
-numpy/LAPACK build they were recorded with.
+`oracles`, `spectral` and `constructions`, and the `distance` and
+`reduce-3partition` rows before the zero-partition DP was rewritten, so any
+change in what those commands print or write shows up here.  The distance
+queries are chosen so that several optimal blocks tie, which pins the
+witness tie-break.  Re-record only for an intended change of output, by
+running this file with GOLDEN_PRINT set to 1 (and pytest's -s) and pasting
+the printed rows.  The `analyze` lines print the dense eigensolver's
+deviation from integers, so their digests hold for the numpy/LAPACK build
+they were recorded with.
 """
 
 import hashlib
@@ -109,6 +112,32 @@ GOLDEN = [
         "37b3c92c53cc46c1e810226120b9e3f43a410ffe491ea725b0ca9a8a14590530",
         {},
     ),
+    (
+        "distance --family csr -m 8 -n 2 --from 1,1,1,0,0,0,1,0 --to 0,0,0,1,1,1,0,1",
+        0,
+        "e3ffe3f24e9b91294b49e81bd69d0939de65f37cd53a9d47056d08eb2173acfb",
+        {},
+    ),
+    (
+        "distance --family csr -m 10 -n 4 --from 3,1,1,0,2,0,0,3,0,2 --to 2,1,0,0,2,2,3,2,3,1",
+        0,
+        "fb89264ab4b00a9bfe5c32f591cdecb119c9b92fc9f7a2ac9719fecc77b6c1d4",
+        {},
+    ),
+    (
+        "distance --family csr -m 12 -n 9 --from 7,0,4,7,3,0,3,0,8,6,2,5"
+        " --to 2,8,7,6,2,4,2,8,3,6,6,0",
+        0,
+        "3d6586663217d76e0cce89dc382b0dd3b5bedba8c627148efbb16631c6b42f17",
+        {},
+    ),
+    (
+        "distance --family csr -m 14 -n 11 --from 3,2,9,1,3,4,2,8,4,6,4,0,7,2"
+        " --to 2,7,8,0,3,3,1,8,4,5,3,10,6,6",
+        0,
+        "2ef3f7000058371b30828bd72da835829ca029d341dbb64e312e2606cae38f86",
+        {},
+    ),
 ]
 
 
@@ -126,3 +155,31 @@ def test_golden_output(argv, code, stdout, files, tmp_path, monkeypatch, capsys)
         print(f"\n    ({argv!r}, {got_code}, {got_stdout!r}, {got_files!r}),")
         return
     assert (got_code, got_stdout, got_files) == (code, stdout, files)
+
+
+# 3-Partition instance file ('k s' then the 3k values), expected exit code,
+# sha256 of the stdout of `reduce-3partition --instance` on it
+GOLDEN_REDUCE = [
+    (  # yes-instance
+        "4 40\n14 12 12 17 13 17 15 12 11 15 11 11\n",
+        0,
+        "af10fa8a0c775e528f291c9c12f07e76b3a914c5897933f3f57042c607bb0b64",
+    ),
+    (  # no-instance
+        "4 40\n19 14 11 11 11 15 15 17 11 11 12 13\n",
+        0,
+        "802eaf8b050ae7c0e0f84f81efbc742fd116fc3b03bfece4745a42a0c1e4564d",
+    ),
+]
+
+
+@pytest.mark.parametrize("instance,code,stdout", GOLDEN_REDUCE, ids=["yes-k4", "no-k4"])
+def test_golden_reduce(instance, code, stdout, tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    path.write_text(instance)
+    got_code = main(["reduce-3partition", "--instance", str(path)])
+    got_stdout = _sha256(capsys.readouterr().out.encode())
+    if os.environ.get("GOLDEN_PRINT") == "1":
+        print(f"\n    ({instance!r}, {got_code}, {got_stdout!r}),")
+        return
+    assert (got_code, got_stdout) == (code, stdout)
