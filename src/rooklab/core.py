@@ -100,6 +100,18 @@ def check_cap(spec: GraphSpec, limit: int, name: str) -> None:
         )
 
 
+def allocate(make, shape, dtype, what: str) -> np.ndarray:
+    """make(shape, dtype=dtype), e.g. np.zeros, with a MemoryError re-raised as
+    CapExceededError naming the array, so an input under the vertex caps
+    whose arrays do not fit memory ends with a message, not a traceback."""
+    try:
+        return make(shape, dtype=dtype)
+    except MemoryError:
+        raise CapExceededError(
+            f"the {what} array of shape {shape} does not fit in memory"
+        ) from None
+
+
 def check_enum_cap(spec: GraphSpec, cap: int | None = None) -> None:
     check_cap(spec, config.enum_cap(cap), "enumeration")
 
@@ -229,7 +241,7 @@ class IndexedGraph:
         """(N, degree) read-only array; row i lists vertex i's neighbour
         indices in ascending order, which is the order of `neighbors`."""
         spec, coords = self.spec, self.coords
-        targets = np.empty((len(coords), spec.degree), dtype=np.int64)
+        targets = allocate(np.empty, (len(coords), spec.degree), np.int64, "neighbour-index")
         filled = np.zeros(len(coords), dtype=np.int64)  # columns used so far, per row
         for i, j, delta in _moves(spec):
             if spec.family == SR:
@@ -254,7 +266,7 @@ class IndexedGraph:
 
     def dense(self, dtype=np.float64) -> np.ndarray:
         """A new dense 0/1 adjacency matrix in vertex order."""
-        mat = np.zeros((len(self.vertices),) * 2, dtype=dtype)
+        mat = allocate(np.zeros, (len(self.vertices),) * 2, dtype, "dense adjacency")
         mat[np.arange(len(mat))[:, None], self.targets] = 1
         return mat
 

@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import config
 from .constructions import default_prime, dominating_set_sr
-from .core import CSR, SR, GraphSpec, Vertex, csr_spec, validate_vertex
+from .core import CSR, SR, GraphSpec, Vertex, allocate, csr_spec, validate_vertex
 from .errors import CapExceededError
 
 
@@ -51,10 +53,19 @@ def zero_partition_number(
 ) -> tuple[int, ZeroPartition]:
     """Maximum block count over all zero partitionings of b, with a witness.
 
-    Subset-mask dynamic program: t[S] is the best block count partitioning
-    the index subset S, computed over zero-sum sub-blocks that contain S's
-    lowest index (so each block is counted once).  O(3^m) time, O(2^m)
-    space; m is guarded by the mask limit.
+    Prefix-ordering dynamic program over index subsets S:
+
+        dp[S] = [sum of S = 0 mod n] + max over i in S of dp[S - {i}],
+
+    the most zero-sum prefixes over all orderings of S.  For zero-sum S the
+    segments between consecutive zero-sum prefixes are zero-sum blocks, so
+    dp[S] is the best block count of S.  Subset sums are built by doubling
+    and dp is filled one popcount layer at a time with numpy: O(2^m * m)
+    time, O(2^m) memory; m is guarded by the mask limit.
+
+    Witness: from R = all indices, repeatedly remove the block with the
+    numerically smallest mask that holds R's lowest index, sums to 0 mod n
+    and leaves dp[R - block] = dp[R] - 1.
     """
     m = len(b)
     if n < 1:
@@ -68,39 +79,42 @@ def zero_partition_number(
     if m == 0:
         return 0, ZeroPartition((), n)
 
-    full = (1 << m) - 1
-    sums = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        sums[mask] = (sums[mask ^ low] + b[low.bit_length() - 1]) % n
+    # the smallest dtype holding 2(n - 1); past uint64 it is exact Python ints
+    sums = allocate(np.zeros, 1 << m, np.min_scalar_type(2 * n), "subset-sum")
+    for i, x in enumerate(b):
+        sums[1 << i : 2 << i] = (sums[: 1 << i] + x) % n
+    zero = (sums == 0).view(np.uint8)
+    del sums
+    popcount = np.zeros(1 << m, dtype=np.uint8)
+    for i in range(m):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
 
-    best = [-1] * (full + 1)  # -1: subset has no zero partitioning
-    choice = [0] * (full + 1)
-    best[0] = 0
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        rest = mask ^ low
-        top = -1
-        pick = 0
-        sub = rest
-        while True:
-            block = sub | low
-            if sums[block] == 0 and best[mask ^ block] >= 0:
-                cand = 1 + best[mask ^ block]
-                if cand > top or (cand == top and block < pick):
-                    top, pick = cand, block
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        best[mask], choice[mask] = top, pick
+    # dp[S] <= m fits uint8 (2^m entries rule out m > 255).  For S in layer k,
+    # S ^ (1 << i) with bit i clear in S lies in layer k + 1, still 0, so it
+    # never wins the max.
+    dp = np.zeros(1 << m, dtype=np.uint8)
+    for k in range(1, m + 1):
+        layer = np.flatnonzero(popcount == k)
+        best = dp[layer ^ 1]
+        for i in range(1, m):
+            np.maximum(best, dp[layer ^ (1 << i)], out=best)
+        dp[layer] = best + zero[layer]
 
     blocks: list[tuple[int, ...]] = []
-    mask = full
-    while mask:
-        block = choice[mask]
+    rest = (1 << m) - 1
+    while rest:
+        low = rest & -rest
+        others = rest ^ low
+        target = dp[rest] - 1
+        # submasks of `others` in ascending order, so the first hit is the
+        # smallest block; the recurrence guarantees a hit
+        sub = 0
+        while not (zero[sub | low] and dp[others ^ sub] == target):
+            sub = (sub - others) & others
+        block = sub | low
         blocks.append(tuple(i for i in range(m) if block >> i & 1))
-        mask ^= block
-    return best[full], ZeroPartition(tuple(blocks), n)
+        rest ^= block
+    return int(dp[-1]), ZeroPartition(tuple(blocks), n)
 
 
 def csr_distance_witness(

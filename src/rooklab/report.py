@@ -50,7 +50,9 @@ class QuantityRecord:
     notes: tuple[str, ...] = ()
 
     def evaluate(self) -> None:
-        problems: list[str] = []
+        """Set the verdict; problems already recorded are kept and force
+        a discrepancy."""
+        problems = list(self.problems)
         if self.oracle is not None:
             if self.exact is not None and self.oracle != self.exact:
                 problems.append(f"oracle {self.oracle} != formula {self.exact}")

@@ -25,6 +25,7 @@ from rooklab.core import (
     neighbors,
     sr_spec,
 )
+from rooklab.errors import CapExceededError
 from rooklab.spectral import adjacency_matrix
 
 # every spec with at most 300 vertices and m, n <= 12: this takes in m = 1,
@@ -76,6 +77,18 @@ def test_arrays_read_only_and_cached():
     for array in (graph.coords, graph.targets):
         with pytest.raises(ValueError):
             array[0, 0] = 7
+
+
+def test_dense_out_of_memory_is_cap_error(monkeypatch):
+    graph = IndexedGraph(sr_spec(3, 2))
+    graph.targets  # built before np.zeros stops working
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(CapExceededError, match=r"dense adjacency array of shape \(6, 6\)"):
+        graph.dense()
 
 
 def _pairwise_scan(spec, p):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rooklab.core import csr_spec, enumerate_vertices, sr_spec
@@ -39,6 +40,88 @@ def brute_zero_partition_number(b, n):
         if all(sum(b[i] for i in blk) % n == 0 for blk in part):
             best = max(best, len(part))
     return best
+
+
+def submask_zero_partition(b, n):
+    """Reference oracle: the O(3^m) submask DP.  t[S] is the best block
+    count of the index subset S over zero-sum blocks holding S's lowest
+    index; ties go to the numerically smallest block mask."""
+    m = len(b)
+    full = (1 << m) - 1
+    sums = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sums[mask] = (sums[mask ^ low] + b[low.bit_length() - 1]) % n
+
+    best = [-1] * (full + 1)  # -1: subset has no zero partitioning
+    choice = [0] * (full + 1)
+    best[0] = 0
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        top = -1
+        pick = 0
+        sub = rest
+        while True:
+            block = sub | low
+            if sums[block] == 0 and best[mask ^ block] >= 0:
+                cand = 1 + best[mask ^ block]
+                if cand > top or (cand == top and block < pick):
+                    top, pick = cand, block
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        best[mask], choice[mask] = top, pick
+
+    blocks = []
+    mask = full
+    while mask:
+        block = choice[mask]
+        blocks.append(tuple(i for i in range(m) if block >> i & 1))
+        mask ^= block
+    return best[full], tuple(blocks)
+
+
+def _random_csr_vertex(rng, m, n):
+    coords = [rng.randrange(n) for _ in range(m - 1)]
+    coords.append((-sum(coords)) % n)
+    return tuple(coords)
+
+
+def test_zero_partition_matches_submask_oracle():
+    rng = random.Random(20211)
+    cases = [(1, 1), (1, 7), (5, 1), (12, 1)]
+    cases += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(496)]
+    for m, n in cases:
+        b = _random_csr_vertex(rng, m, n)
+        count, witness = zero_partition_number(b, n)
+        assert (count, witness.blocks) == submask_zero_partition(b, n), (b, n)
+
+
+def test_zero_partition_huge_modulus():
+    # past int64 the subset sums are exact Python integers
+    n = 10**20
+    b = (n - 1, 1, 5, n - 5, 7, n - 3, n - 4)
+    count, witness = zero_partition_number(b, n)
+    assert (count, witness.blocks) == submask_zero_partition(b, n)
+    assert count == 3 and witness.check(b)
+
+
+def test_zero_partition_mask_limit_reachable():
+    b = (1,) * 20
+    count, witness = zero_partition_number(b, 4)
+    assert count == 5
+    assert witness.check(b)
+    assert witness.blocks[0] == (0, 1, 2, 3)
+
+
+def test_zero_partition_out_of_memory_is_cap_error(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(CapExceededError, match="subset-sum array of shape 64"):
+        zero_partition_number((1,) * 6, 2)
 
 
 def test_zero_partition_worked_example():

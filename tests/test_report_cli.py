@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from rooklab import report
 from rooklab.cli import main
-from rooklab.core import csr_spec, sr_spec
+from rooklab.core import _indexed_graph, csr_spec, sr_spec
+from rooklab.metrics import csr_diameter
 from rooklab.report import build_report, parse_oracle_selection
 
 
@@ -50,6 +53,31 @@ def test_report_without_oracles():
     assert by_name["alpha"].verdict == "bound-consistent"
     assert by_name["alpha"].oracle is None
     assert by_name["omega"].verdict == "oracle-skipped"
+
+
+def _off_by_one_distance(monkeypatch):
+    """Make the CSR eccentric-vertex distance miss the diameter formula."""
+    monkeypatch.setattr(
+        report, "csr_distance", lambda spec, u, v, cap=None: csr_diameter(spec.m, spec.n) + 1
+    )
+
+
+def test_report_keeps_witness_problem(monkeypatch):
+    _off_by_one_distance(monkeypatch)
+    for oracle_names in (frozenset(), parse_oracle_selection("diameter")):
+        rep = build_report(csr_spec(3, 3), oracle_names)
+        diam = {r.name: r for r in rep.records}["diameter"]
+        assert diam.problems[0] == "witness distance 3 != formula 2"
+        assert diam.verdict == "discrepancy"
+        assert rep.has_discrepancy
+
+
+def test_cli_analyze_strict_witness_problem_exit(monkeypatch, capsys):
+    _off_by_one_distance(monkeypatch)
+    code, out, _ = run_cli(capsys, "analyze", "--family", "csr", "-m", "3", "-n", "3", "--strict")
+    assert code == 3
+    assert "problem quantity=diameter detail=witness distance 3 != formula 2" in out
+    assert "verdict=discrepancy" in out
 
 
 def test_oracle_selection_parsing():
@@ -213,6 +241,19 @@ def test_cli_cap_exceeded_exit(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_cli_out_of_memory_exits_2(capsys, monkeypatch):
+    # an input under every vertex cap whose neighbour array does not fit
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    _indexed_graph.cache_clear()
+    code, out, err = run_cli(capsys, "analyze", "--family", "csr", "-m", "3", "-n", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the neighbour-index array of shape (25, 12) does not fit in memory\n"
 
 
 def test_cli_requested_oracle_over_cap_exits_2(capsys):
