@@ -2,15 +2,17 @@
 every written file for a small fixed matrix of commands.
 
 The digests were recorded before the indexed-graph refactor of `core`,
-`oracles`, `spectral` and `constructions`, and the `distance` and
-`reduce-3partition` rows before the zero-partition DP was rewritten, so any
-change in what those commands print or write shows up here.  The distance
-queries are chosen so that several optimal blocks tie, which pins the
-witness tie-break.  Re-record only for an intended change of output, by
-running this file with GOLDEN_PRINT set to 1 (and pytest's -s) and pasting
-the printed rows.  The `analyze` lines print the dense eigensolver's
-deviation from integers, so their digests hold for the numpy/LAPACK build
-they were recorded with.
+`oracles`, `spectral` and `constructions`; the `distance` and
+`reduce-3partition` rows before the zero-partition DP was rewritten; and the
+CSR(3,1), CSR(2,6), CSR(6,3), `aut`, `clique`, `dominating-set` and
+`hamiltonian-cycle` rows before the CSR character-sum spectrum was replaced
+by its closed form.  So any change in what those commands print or write
+shows up here.  The distance queries are chosen so that several optimal
+blocks tie, which pins the witness tie-break.  Re-record only for an
+intended change of output, by running this file with GOLDEN_PRINT set to 1
+(and pytest's -s) and pasting the printed rows.  The `analyze` lines print
+the dense eigensolver's deviation from integers, so their digests hold for
+the numpy/LAPACK build they were recorded with.
 """
 
 import hashlib
@@ -111,6 +113,52 @@ GOLDEN = [
         0,
         "37b3c92c53cc46c1e810226120b9e3f43a410ffe491ea725b0ca9a8a14590530",
         {},
+    ),
+    (
+        "analyze --family csr -m 3 -n 1",
+        0,
+        "4af41a689b6c031e79c89c62b2dec892eb430909f93276dd1a1ac231ad2221a6",
+        {},
+    ),
+    (
+        "analyze --family csr -m 2 -n 6",
+        0,
+        "2ea9d75ab73b1b4fe467b5f6cbc72542633162f728246da93f18215961e0cc3a",
+        {},
+    ),
+    (
+        "analyze --family csr -m 6 -n 3 --json report.json",
+        0,
+        "0d8d86a39512782ad90233bb69e081ecf60a9b46512c6723bc0fad335573df6b",
+        {
+            "report.json": "97bcc30e0005ca903753d915ff25a8a8a39dba6e10e1ff231938fe48122ea140",
+        },
+    ),
+    (
+        "aut -m 4 -n 3 --count-only",
+        0,
+        "147158cfaa71f420f4598da60400de311fbe65c9d315b7e0e34f3b953f24ef7b",
+        {},
+    ),
+    (
+        "construct clique --family csr -m 5 -n 3",
+        0,
+        "794feaa9cd3886aa8aab11c527c94c39f2e4ad5f4839d995f44da8619070e3ad",
+        {},
+    ),
+    (
+        "construct dominating-set -m 4 -n 3",
+        0,
+        "2e673cca75eb4a6c13f7ebcd9486f93418d8582321b01b95c7fe432769b20c88",
+        {},
+    ),
+    (
+        "construct hamiltonian-cycle -m 4 -n 3 --out cycle.txt",
+        0,
+        "ec3165b7c2b173e1f9b2dce6c83721801173e8aa2315c664d673bc75b1db8f52",
+        {
+            "cycle.txt": "450208e73390a3d8a07ead83fa2210dbf2fdeb2495a030f4d7e4366cc0175a7e",
+        },
     ),
     (
         "distance --family csr -m 8 -n 2 --from 1,1,1,0,0,0,1,0 --to 0,0,0,1,1,1,0,1",
