@@ -25,28 +25,35 @@ DEFAULT_AUT_CAP = 128
 EIG_MERGE_TOL = 1e-8
 
 
-def enum_cap(value: int | None = None) -> int:
+def _read(value, name: str, default, kind=int):
+    """value if given, else the environment variable `name`, else default,
+    converted by kind; a malformed variable is a ValueError naming it."""
     if value is not None:
-        return int(value)
-    return int(os.environ.get("ROOKLAB_ENUM_CAP", DEFAULT_ENUM_CAP))
+        return kind(value)
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name}={text!r} is not {noun}") from None
+
+
+def enum_cap(value: int | None = None) -> int:
+    return _read(value, "ROOKLAB_ENUM_CAP", DEFAULT_ENUM_CAP)
 
 
 def eig_cap(value: int | None = None) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("ROOKLAB_EIG_CAP", DEFAULT_EIG_CAP))
+    return _read(value, "ROOKLAB_EIG_CAP", DEFAULT_EIG_CAP)
 
 
 def mask_limit(value: int | None = None) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("ROOKLAB_MASK_LIMIT", DEFAULT_MASK_LIMIT))
+    return _read(value, "ROOKLAB_MASK_LIMIT", DEFAULT_MASK_LIMIT)
 
 
 def tol(value: float | None = None) -> float:
-    if value is not None:
-        return float(value)
-    return float(os.environ.get("ROOKLAB_TOL", DEFAULT_TOL))
+    return _read(value, "ROOKLAB_TOL", DEFAULT_TOL, float)
 
 
 def search_cap(value: int | None = None) -> int:

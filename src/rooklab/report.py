@@ -186,10 +186,8 @@ def build_report(
     oracle_names: frozenset[str] = frozenset(),
     enum_cap: int | None = None,
     eig_cap: int | None = None,
-    search_cap: int | None = None,
     mask_cap: int | None = None,
     tolerance: float | None = None,
-    matrix_cap: int = 5000,
 ) -> AnalysisReport:
     """Full analysis of one graph: alpha, gamma, omega, chi, diameter, and
     the spectral/coloring checks, with oracles run for the named quantities."""
@@ -214,7 +212,7 @@ def build_report(
             alpha.constructed = len(verified[1])
             alpha.construction = "largest residue class passing the independence scan"
     if "alpha" in oracle_names:
-        alpha.oracle = oracles.oracle_alpha(spec, search_cap)[0]
+        alpha.oracle = oracles.oracle_alpha(spec)[0]
     alpha.evaluate()
     report.records.append(alpha)
 
@@ -229,7 +227,7 @@ def build_report(
     if spec.family == SR:
         gamma.lower, gamma.upper = fam_bounds.gamma_lower, fam_bounds.gamma_upper
     if "gamma" in oracle_names:
-        gamma.oracle = oracles.oracle_gamma(spec, search_cap)[0]
+        gamma.oracle = oracles.oracle_gamma(spec)[0]
     gamma.evaluate()
     report.records.append(gamma)
 
@@ -241,7 +239,7 @@ def build_report(
         omega.construction = f"{clique.kind}-type clique"
         omega.exact = fam_bounds.omega_formula
     if "omega" in oracle_names:
-        omega.oracle = oracles.oracle_omega(spec, search_cap)[0]
+        omega.oracle = oracles.oracle_omega(spec)[0]
     omega.evaluate()
     report.records.append(omega)
 
@@ -262,7 +260,7 @@ def build_report(
         chi.construction = "residue coloring (scan passed)"
     chi.lower, chi.upper = fam_bounds.chi_lower, fam_bounds.chi_upper
     if "chi" in oracle_names:
-        chi.oracle = oracles.oracle_chi(spec, search_cap)[0]
+        chi.oracle = oracles.oracle_chi(spec)[0]
     chi.evaluate()
     report.records.append(chi)
 
@@ -278,7 +276,7 @@ def build_report(
                 f"witness distance {wdist} != formula {diam.exact}",
             )
     if "diameter" in oracle_names:
-        _, dist = oracles.all_pairs_distances(spec, matrix_cap)
+        _, dist = oracles.all_pairs_distances(spec)
         diam.oracle = int(dist.max())
     diam.evaluate()
     report.records.append(diam)
@@ -286,7 +284,7 @@ def build_report(
     # spectral checks
     if spec.vertex_count <= config.eig_cap(eig_cap):
         eig = spectral.eigenvalues(spec, eig_cap)
-        spect = spectral.spectrum(spec, eig_cap, tolerance, eig)
+        spect = spectral.spectrum(eig, tolerance)
         report.checks.append(
             CheckRecord(
                 "spectral-integrality",
@@ -296,7 +294,7 @@ def build_report(
             )
         )
         if spec.family == SR:
-            lam = spectral.lambda_min_check(spec, eig_cap, tolerance, eig)
+            lam = spectral.lambda_min_check(spec, eig, tolerance)
             report.checks.append(
                 CheckRecord(
                     "lambda-min",
@@ -306,12 +304,12 @@ def build_report(
                 )
             )
         else:
-            chars = spectral.csr_character_spectrum(spec.m, spec.n, tolerance=tolerance)
+            chars = spectral.csr_character_spectrum(spec.m, spec.n, enum_cap)
             report.checks.append(
                 CheckRecord(
                     "character-spectrum-match",
                     claimed=True,
-                    passed=spectral.spectra_match(spect, chars, tolerance),
+                    passed=bool(abs(eig - chars).max() <= config.tol(tolerance)),
                     detail="character sums vs dense eigensolve",
                 )
             )

@@ -1,14 +1,23 @@
-"""Adjacency spectra: dense eigensolves, integrality verdicts, least
-eigenvalue checks, and the character-sum spectrum for CSR.
+"""Adjacency spectra: the dense eigensolve, integrality verdicts, least
+eigenvalue checks, and the closed-form CSR spectrum.
 
-CSR(m, n) is a Cayley graph on the zero-sum subgroup of Z_n^m (isomorphic
-to Z_n^(m-1)), so its spectrum is also computable without forming a matrix:
-one character sum over the connection set per group element.  The two
-routes must agree, which is one of the package's cross-checks.
+`eigenvalues` is the package's one eigensolve.  CSR(m, n) is a Cayley graph
+on the zero-sum subgroup H of Z_n^m with connection set
+S = {a(e_i - e_j) : i < j, a != 0}, so its spectrum also has a closed form
+with no matrix (Babai, "Spectra of Cayley graphs", JCTB 1979).  The
+characters of H are x -> w^<y, x> with w = exp(2 pi i / n), one per coset
+y + <(1, ..., 1)>, and the eigenvalue at y is the character sum over S:
+
+    lambda(y) = sum_{i<j} sum_{a=1}^{n-1} w^(a (y_i - y_j))
+              = sum_{i<j} (n [y_i = y_j] - 1) = n E(y) - C(m, 2),
+
+where E(y) counts the pairs i < j with y_i = y_j.  The two routes must
+agree, which is one of the package's cross-checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +25,6 @@ import numpy as np
 
 from . import config
 from .core import SR, GraphSpec, check_cap, csr_spec, indexed_graph
-from .errors import CapExceededError
 
 
 @dataclass(frozen=True)
@@ -49,8 +57,21 @@ class Spectrum:
         return self.pairs[0][0]
 
 
-def _make_spectrum(values: np.ndarray, tolerance: float) -> Spectrum:
-    ordered = np.sort(values)[::-1]
+def adjacency_matrix(spec: GraphSpec) -> np.ndarray:
+    """Dense 0/1 adjacency in canonical vertex order."""
+    return indexed_graph(spec).dense()
+
+
+def eigenvalues(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the dense adjacency matrix, as eigvalsh gives
+    them, after the eigensolver-cap check."""
+    check_cap(spec, config.eig_cap(cap), "eigensolver")
+    return np.linalg.eigvalsh(adjacency_matrix(spec))
+
+
+def spectrum(eig: np.ndarray, tolerance: float | None = None) -> Spectrum:
+    """The eigenvalues from `eigenvalues`, grouped, with an integrality verdict."""
+    ordered = np.sort(eig)[::-1]
     pairs: list[tuple[float, int]] = []
     group: list[float] = []
     for x in ordered:
@@ -61,30 +82,7 @@ def _make_spectrum(values: np.ndarray, tolerance: float) -> Spectrum:
     if group:
         pairs.append((float(np.mean(group)), len(group)))
     deviation = float(np.max(np.abs(ordered - np.round(ordered)))) if len(ordered) else 0.0
-    return Spectrum(len(ordered), tuple(pairs), deviation <= tolerance, deviation)
-
-
-def adjacency_matrix(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
-    """Dense 0/1 adjacency in canonical vertex order."""
-    check_cap(spec, config.eig_cap(cap), "eigensolver")
-    return indexed_graph(spec).dense()
-
-
-def eigenvalues(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the dense adjacency matrix, as eigvalsh gives them."""
-    return np.linalg.eigvalsh(adjacency_matrix(spec, cap))
-
-
-def spectrum(
-    spec: GraphSpec,
-    cap: int | None = None,
-    tolerance: float | None = None,
-    eig: np.ndarray | None = None,
-) -> Spectrum:
-    """Dense symmetric eigendecomposition with an integrality verdict; pass
-    `eig` from `eigenvalues` to reuse one eigensolve."""
-    eig = eigenvalues(spec, cap) if eig is None else eig
-    return _make_spectrum(eig, config.tol(tolerance))
+    return Spectrum(len(ordered), tuple(pairs), deviation <= config.tol(tolerance), deviation)
 
 
 @dataclass(frozen=True)
@@ -95,79 +93,30 @@ class LambdaMinCheck:
 
 
 def lambda_min_check(
-    spec: GraphSpec,
-    cap: int | None = None,
-    tolerance: float | None = None,
-    eig: np.ndarray | None = None,
+    spec: GraphSpec, eig: np.ndarray, tolerance: float | None = None
 ) -> LambdaMinCheck:
     """Compare the least eigenvalue eig[0] of an SR graph (not a Spectrum's
-    group mean) against the known max(-n, -C(m, 2)); pass `eig` from
-    `eigenvalues` to reuse one eigensolve."""
+    group mean), from `eigenvalues`, against the known max(-n, -C(m, 2))."""
     if spec.family != SR:
         raise ValueError(f"least-eigenvalue formula applies to SR only, got {spec.label()}")
-    eig = eigenvalues(spec, cap) if eig is None else eig
     predicted = max(-spec.n, -math.comb(spec.m, 2))
     computed = float(eig[0])
     return LambdaMinCheck(computed, predicted, abs(computed - predicted) <= config.tol(tolerance))
 
 
-def csr_character_spectrum(
-    m: int, n: int, cap: int | None = None, tolerance: float | None = None
-) -> Spectrum:
-    """CSR spectrum via character sums over Z_n^(m-1), no matrix formed.
+def csr_character_spectrum(m: int, n: int, cap: int | None = None) -> np.ndarray:
+    """Ascending int64 CSR(m, n) spectrum n E(y) - C(m, 2), exact.
 
-    The connection set, written in the free coordinates (the last coordinate
-    of a vertex is determined), is every nonzero multiple of f_i - f_j for
-    i < j plus every nonzero multiple of each f_i alone.  The eigenvalue at
-    group element y is the sum of exp(2*pi*i*<y, s>/n) over the connection
-    set; symmetry of the set forces real values.
+    y runs over the coset representatives with last coordinate 0, that is
+    the vertices with their last coordinate set to 0; `cap` is the
+    enumeration cap.
     """
-    spec = csr_spec(m, n)
-    limit = config.enum_cap(cap)
-    count = spec.vertex_count
-    if count > limit:
-        raise CapExceededError(
-            f"{spec.label()} has {count} group elements, over the enumeration cap {limit}"
-        )
-    free = m - 1
-    if free == 0 or n == 1:
-        return _make_spectrum(np.zeros(count), config.tol(tolerance))
-
-    conn: list[list[int]] = []
-    for i in range(free):
-        for alpha in range(1, n):
-            row = [0] * free
-            row[i] = alpha
-            conn.append(row)
-    for i in range(free):
-        for j in range(i + 1, free):
-            for alpha in range(1, n):
-                row = [0] * free
-                row[i] = alpha
-                row[j] = (-alpha) % n
-                conn.append(row)
-    sset = np.array(conn, dtype=np.int64)  # (C(m,2)(n-1), free)
-
-    eigenvalues = np.empty(count)
-    chunk = 4096
-    shape = (n,) * free
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count))
-        block = np.stack(np.unravel_index(idx, shape), axis=1).astype(np.int64)
-        phases = np.exp(2j * np.pi * (block @ sset.T % n) / n).sum(axis=1)
-        if np.max(np.abs(phases.imag)) > 1e-9:
-            raise AssertionError("character sums produced a non-real eigenvalue")
-        eigenvalues[start : start + len(block)] = phases.real
-    return _make_spectrum(eigenvalues, config.tol(tolerance))
-
-
-def spectra_match(a: Spectrum, b: Spectrum, tolerance: float | None = None) -> bool:
-    """Multiset equality of two spectra within tolerance."""
-    if a.size != b.size:
-        return False
-    va, vb = a.values(), b.values()
-    tol = config.tol(tolerance)
-    return all(abs(x - y) <= tol for x, y in zip(va, vb))
+    y = indexed_graph(csr_spec(m, n), cap).coords.copy()
+    y[:, -1] = 0
+    equal = np.zeros(len(y), dtype=np.int64)
+    for i, j in itertools.combinations(range(m), 2):
+        equal += y[:, i] == y[:, j]
+    return np.sort(n * equal - math.comb(m, 2))
 
 
 def complete_graph_spectrum(k: int) -> list[float]:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rooklab import report
+from rooklab import report, spectral
 from rooklab.cli import main
 from rooklab.core import _indexed_graph, csr_spec, sr_spec
 from rooklab.metrics import csr_diameter
@@ -79,6 +79,35 @@ def test_cli_analyze_strict_witness_problem_exit(monkeypatch, capsys):
     assert "problem quantity=diameter detail=witness distance 3 != formula 2" in out
     assert "verdict=discrepancy" in out
 
+
+
+def _shifted_character_spectrum(monkeypatch):
+    """Make the closed-form CSR spectrum disagree with the eigensolve by 1."""
+    exact = spectral.csr_character_spectrum
+    monkeypatch.setattr(
+        spectral, "csr_character_spectrum", lambda m, n, cap=None: exact(m, n, cap) + 1
+    )
+
+
+def test_report_character_spectrum_mismatch(monkeypatch):
+    assert not build_report(csr_spec(3, 3)).has_discrepancy
+    _shifted_character_spectrum(monkeypatch)
+    rep = build_report(csr_spec(3, 3))
+    check = {c.name: c for c in rep.checks}["character-spectrum-match"]
+    assert check.claimed and check.passed is False
+    assert rep.has_discrepancy
+
+
+def test_cli_analyze_strict_character_spectrum_exit(monkeypatch, capsys):
+    argv = ("analyze", "--family", "csr", "-m", "3", "-n", "3", "--strict")
+    assert run_cli(capsys, *argv)[0] == 0
+    _shifted_character_spectrum(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert (
+        "check name=character-spectrum-match claimed=yes passed=no"
+        " detail=character sums vs dense eigensolve"
+    ) in out
 
 def test_oracle_selection_parsing():
     assert parse_oracle_selection("none") == frozenset()
@@ -276,6 +305,22 @@ def test_cli_env_fallback_for_caps(capsys, monkeypatch):
     )
     assert code == 0
 
+
+
+@pytest.mark.parametrize(
+    "name,noun",
+    [
+        ("ROOKLAB_ENUM_CAP", "an integer"),
+        ("ROOKLAB_EIG_CAP", "an integer"),
+        ("ROOKLAB_MASK_LIMIT", "an integer"),
+        ("ROOKLAB_TOL", "a number"),
+    ],
+)
+def test_cli_malformed_env_names_variable(name, noun, capsys, monkeypatch):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run_cli(capsys, "analyze", "--family", "csr", "-m", "3", "-n", "3")
+    assert code == 1
+    assert err == f"error: {name}='abc' is not {noun}\n"
 
 def test_cli_usage_error_exit():
     with pytest.raises(SystemExit) as exc:

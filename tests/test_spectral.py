@@ -1,4 +1,5 @@
-"""Dense spectra, integrality, least-eigenvalue checks, character sums."""
+"""Dense spectra, integrality, least-eigenvalue checks, the closed-form CSR
+spectrum."""
 
 import math
 import random
@@ -14,14 +15,14 @@ from rooklab.spectral import (
     adjacency_matrix,
     complete_graph_spectrum,
     csr_character_spectrum,
+    eigenvalues,
     lambda_min_check,
-    spectra_match,
     spectrum,
 )
 
 
 def test_sr32_spectrum():
-    sp = spectrum(sr_spec(3, 2))
+    sp = spectrum(eigenvalues(sr_spec(3, 2)))
     assert sp.size == 6
     assert abs(sp.largest - 4) < 1e-9  # regularity degree
     assert sp.integral
@@ -31,13 +32,13 @@ def test_sr32_spectrum():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sr2_complete_graph_spectrum(n):
-    sp = spectrum(sr_spec(2, n))
+    sp = spectrum(eigenvalues(sr_spec(2, n)))
     expected = complete_graph_spectrum(n + 1)
     assert all(abs(a - b) < 1e-9 for a, b in zip(sp.values(), expected))
 
 
 def test_csr32_is_k4():
-    sp = spectrum(csr_spec(3, 2))
+    sp = spectrum(eigenvalues(csr_spec(3, 2)))
     assert [round(v) for v in sp.values()] == [3, -1, -1, -1]
 
 
@@ -46,14 +47,15 @@ def test_csr32_is_k4():
     [(3, 2, -2), (3, 4, -3), (2, 5, -1)],
 )
 def test_lambda_min_examples(m, n, expected):
-    chk = lambda_min_check(sr_spec(m, n))
+    spec = sr_spec(m, n)
+    chk = lambda_min_check(spec, eigenvalues(spec))
     assert chk.predicted == expected == max(-n, -math.comb(m, 2))
     assert chk.ok
 
 
 def test_lambda_min_rejects_csr():
     with pytest.raises(ValueError):
-        lambda_min_check(csr_spec(3, 3))
+        lambda_min_check(csr_spec(3, 3), eigenvalues(csr_spec(3, 3)))
 
 
 def test_character_spectrum_matches_dense():
@@ -63,7 +65,8 @@ def test_character_spectrum_matches_dense():
             spec = csr_spec(m, n)
             if spec.vertex_count > 256:
                 continue
-            assert spectra_match(spectrum(spec), csr_character_spectrum(m, n)), (m, n)
+            deviation = np.max(np.abs(eigenvalues(spec) - csr_character_spectrum(m, n)))
+            assert deviation <= 1e-6, (m, n)
             checked += 1
     assert checked >= 30
 
@@ -71,17 +74,32 @@ def test_character_spectrum_matches_dense():
 def test_character_spectrum_complete_graph():
     # CSR(2, n) is complete on n vertices
     for n in range(2, 8):
-        sp = csr_character_spectrum(2, n)
-        expected = complete_graph_spectrum(n)
-        assert all(abs(a - b) < 1e-9 for a, b in zip(sp.values(), expected))
+        assert csr_character_spectrum(2, n).tolist() == sorted(complete_graph_spectrum(n))
 
 
 def test_character_spectrum_csr33():
-    sp = csr_character_spectrum(3, 3)
-    assert sp.size == 9
-    assert sp.integral  # values come out {6, 0^6, -3^2}
-    assert abs(sp.largest - 6) < 1e-9
+    assert csr_character_spectrum(3, 3).tolist() == [-3, -3] + [0] * 6 + [6]
 
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_character_spectrum_single_vertex(k):
+    # CSR(m, 1) and CSR(1, n) have one vertex and no edges
+    assert csr_character_spectrum(k, 1).tolist() == [0]
+    assert csr_character_spectrum(1, k).tolist() == [0]
+
+
+def test_character_spectrum_is_exact_integer():
+    chars = csr_character_spectrum(4, 5)
+    assert chars.dtype == np.int64
+    assert chars.tolist() == sorted(chars.tolist())
+    assert chars[-1] == csr_spec(4, 5).degree  # the trivial character
+
+
+def test_character_spectrum_cap():
+    with pytest.raises(CapExceededError, match="enumeration cap 26"):
+        csr_character_spectrum(4, 3, cap=26)
+    assert len(csr_character_spectrum(4, 3, cap=27)) == 27
 
 def test_spectrum_invariant_under_relabeling():
     spec = sr_spec(3, 3)
@@ -113,7 +131,7 @@ def test_hoffman_bound_from_spectrum():
 def test_spectrum_records_serializable():
     import json
 
-    sp = spectrum(csr_spec(3, 2))
+    sp = spectrum(eigenvalues(csr_spec(3, 2)))
     doc = sp.to_records()
     assert doc["size"] == 4 and doc["integral"]
     assert sum(rec["multiplicity"] for rec in doc["eigenvalues"]) == 4
@@ -122,4 +140,4 @@ def test_spectrum_records_serializable():
 
 def test_eigensolver_cap():
     with pytest.raises(CapExceededError):
-        spectrum(sr_spec(6, 30), cap=50)
+        eigenvalues(sr_spec(6, 30), cap=50)
