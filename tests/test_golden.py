@@ -6,7 +6,9 @@ The digests were recorded before the indexed-graph refactor of `core`,
 `reduce-3partition` rows before the zero-partition DP was rewritten; and the
 CSR(3,1), CSR(2,6), CSR(6,3), `aut`, `clique`, `dominating-set` and
 `hamiltonian-cycle` rows before the CSR character-sum spectrum was replaced
-by its closed form.  So any change in what those commands print or write
+by its closed form; and the `aut --oracle` rows and the `--oracle all` rows
+on SR(4,5) and CSR(4,4) before the automorphism count and the colouring
+search were rewritten.  So any change in what those commands print or write
 shows up here.  The distance queries are chosen so that several optimal
 blocks tie, which pins the witness tie-break.  Re-record only for an
 intended change of output, by running this file with GOLDEN_PRINT set to 1
@@ -138,6 +140,30 @@ GOLDEN = [
         "aut -m 4 -n 3 --count-only",
         0,
         "147158cfaa71f420f4598da60400de311fbe65c9d315b7e0e34f3b953f24ef7b",
+        {},
+    ),
+    (
+        "aut -m 4 -n 3 --count-only --oracle",
+        0,
+        "63c670dfe918323b18e113cf81b7fce07101db93249c144b0529f837ec639266",
+        {},
+    ),
+    (
+        "aut -m 3 -n 6 --count-only --oracle",
+        0,
+        "ffe29990236518f652d405120762b1edd8f421ad3c0cbe7d10a66af52fc216f4",
+        {},
+    ),
+    (
+        "analyze --family sr -m 4 -n 5 --oracle all",
+        0,
+        "120601590989c6b2074ebec7224f6d039ca8737f46d60bba4080673ab198d7cf",
+        {},
+    ),
+    (
+        "analyze --family csr -m 4 -n 4 --oracle all",
+        0,
+        "338835032e908dd4d0a9dff64d3dafb6b7fcdc7e7c9858cf0b7a0903fd15882c",
         {},
     ),
     (
