@@ -1,17 +1,25 @@
 """CSR automorphisms from the closed-form parametrization, plus an
-independent backtracking count of all adjacency-preserving bijections.
+independent count of all adjacency-preserving bijections.
 
 Every CSR automorphism (for m, n > 3) is: permute coordinates, scale by a
 unit mod n, translate by a zero-sum vector.  The group order is therefore
 m! * phi(n) * n^(m-1).  Outside that parameter range the parametrized maps
 are still automorphisms but may not exhaust the group, so results carry an
 outside-hypothesis flag and the oracle count documents the difference.
+
+The oracle counts by orbit-stabilizer along a stabilizer chain (the idea
+behind nauty): with G_(B_k) the automorphisms fixing v_0..v_{k-1} pointwise,
+|G_(B_k)| = |v_k^{G_(B_k)}| * |G_(B_{k+1})|.  Each orbit is found by asking,
+for each candidate image w of v_k, whether one adjacency-preserving
+extension exists, so the search never walks the whole group.  It reads only
+adjacency, never the parametrization it checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -103,72 +111,67 @@ def enumerate_group(m: int, n: int) -> Iterator[AutDescriptor]:
                 yield AutDescriptor(n, sigma, c, d)
 
 
-# -- independent count by backtracking -------------------------------------------
+# -- independent count by orbit-stabilizer -----------------------------------
 
 
 def oracle_aut_count(spec: GraphSpec, cap: int | None = None) -> int:
-    """Number of adjacency-preserving bijections, counted by backtracking.
-
-    Candidate images are pruned with bitmask adjacency constraints against
-    all previously mapped vertices plus common-neighbor-count signatures
-    (plain degree refinement is useless on these vertex-transitive graphs).
+    """Number of adjacency-preserving bijections, by orbit-stabilizer along
+    the BFS order (see the module docstring).  Candidate images are pruned by
+    adjacency to the mapped vertices and by common-neighbor counts (degrees
+    alone cannot tell vertices of these vertex-transitive graphs apart).
     """
     limit = config.aut_cap(cap)
     check_cap(spec, limit, "automorphism search")
     verts, adj = _bit_graph(spec, max(limit, spec.vertex_count))
     nv = len(verts)
-    if nv == 1:
-        return 1
-    full = (1 << nv) - 1
 
     # common-neighbor counts; invariant signatures narrow initial candidates
     common = [[(adj[u] & adj[v]).bit_count() for v in range(nv)] for u in range(nv)]
-    signature = []
-    for u in range(nv):
-        signature.append(tuple(sorted(common[u][v] for v in _bits(adj[u]))))
-    sig_mask: dict[tuple, int] = {}
-    for u in range(nv):
-        sig_mask[signature[u]] = sig_mask.get(signature[u], 0) | (1 << u)
+    signature = [tuple(sorted(common[u][v] for v in _bits(adj[u]))) for u in range(nv)]
+    sig_mask: defaultdict[tuple, int] = defaultdict(int)
+    for u, sig in enumerate(signature):
+        sig_mask[sig] |= 1 << u
 
     # map vertices in BFS order so each new vertex is constrained by a
     # mapped neighbor as early as possible
-    order = [0]
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
+    order, seen = [0], {0}
+    for u in order:  # the list grows as it is read: it is its own BFS queue
         for w in _bits(adj[u]):
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-                queue.append(w)
-    for u in range(nv):  # disconnected leftovers, if any
-        if u not in seen:
-            order.append(u)
+    order += [u for u in range(nv) if u not in seen]  # disconnected leftovers
 
-    images = [0] * nv
-    count = 0
+    images = order.copy()  # the identity on the fixed prefix
 
-    def extend(k: int, used: int) -> None:
-        nonlocal count
-        if k == nv:
-            count += 1
-            return
+    def candidates(k: int, used: int) -> Iterator[int]:
+        # lazy, so a search that stops at its first extension checks no more
+        # candidates than it tries; images[:k] stays fixed while it is read
         v = order[k]
-        cand = sig_mask[signature[v]] & ~used & full
+        cand = sig_mask[signature[v]] & ~used
         for t in range(k):
-            u = order[t]
-            if cand == 0:
-                return
-            if adj[u] >> v & 1:
-                cand &= adj[images[t]]
-            else:
-                cand &= ~adj[images[t]]
+            cand &= adj[images[t]] if adj[order[t]] >> v & 1 else ~adj[images[t]]
         for w in _bits(cand):
             if all(common[order[t]][v] == common[images[t]][w] for t in range(k)):
-                images[k] = w
-                extend(k + 1, used | (1 << w))
-        return
+                yield w
 
-    extend(0, 0)
+    def extends(k: int, w: int, used: int) -> bool:
+        """Whether images[:k] plus v_k -> w extends to an automorphism; the
+        search stops at the first extension found."""
+        images[k] = w
+        used |= 1 << w
+        if k + 1 == nv:
+            return True
+        for x in candidates(k + 1, used):
+            if extends(k + 1, x, used):
+                return True
+        return False
+
+    count, used = 1, 0
+    for k, v in enumerate(order):
+        # v_k's orbit under G_(B_k): v_k itself (the identity) and every
+        # other candidate with an extension
+        count *= 1 + sum(extends(k, w, used) for w in candidates(k, used) if w != v)
+        images[k] = v
+        used |= 1 << v
     return count

@@ -4,7 +4,8 @@ and the Hamiltonian-cycle checker.
 Everything here is deliberately independent of the closed-form constructions
 it certifies: max clique / independent set use a coloring-bound branch and
 bound, domination uses iterative-deepening set cover, coloring uses
-saturation-ordered backtracking, distances use plain BFS.  Vertex sets live
+saturation-ordered backtracking (saturations kept up to date incrementally as
+vertices are colored and uncolored), distances use plain BFS.  Vertex sets live
 in bitmasks (Python ints), so the practical limit is a few hundred vertices.
 """
 
@@ -174,43 +175,43 @@ def oracle_gamma(spec: GraphSpec, cap: int | None = None) -> tuple[int, list[Ver
 # -- chromatic number ----------------------------------------------------------
 
 
-def _k_coloring(adj: list[int], nv: int, k: int, clique: list[int]):
+def _k_coloring(nbrs: list[list[int]], k: int, clique: list[int]):
     """A proper k-coloring as a color array, or None.  The clique is
     pre-colored 0..len(clique)-1, which is a valid symmetry break."""
     if len(clique) > k:
         return None
+    nv = len(nbrs)
     colors = [-1] * nv
     seen = [0] * nv  # bitmask of colors present in each vertex's neighborhood
     for c, v in enumerate(clique):
         colors[v] = c
-        for w in _bits(adj[v]):
+        for w in nbrs[v]:
             seen[w] |= 1 << c
+    # saturation (distinct neighbor colors) of each uncolored vertex, -1 once
+    # colored; seen is kept current only for uncolored vertices
+    sat = [-1 if colors[u] >= 0 else seen[u].bit_count() for u in range(nv)]
 
     def rec(done: int, max_used: int) -> bool:
         if done == nv:
             return True
-        # saturation order: most distinct neighbor colors first
-        v = -1
-        sat = -1
-        for u in range(nv):
-            if colors[u] < 0:
-                s = seen[u].bit_count()
-                if s > sat:
-                    sat, v = s, u
+        # saturation order: most distinct neighbor colors first, lowest index
+        v = sat.index(max(sat))
+        saved, sat[v] = sat[v], -1
         limit = min(k, max_used + 2)  # at most one brand-new color
-        avail = ~seen[v] & ((1 << limit) - 1)
-        for c in _bits(avail):
+        for c in _bits(~seen[v] & ((1 << limit) - 1)):
             colors[v] = c
-            touched = []
-            for w in _bits(adj[v]):
-                if not seen[w] >> c & 1:
-                    seen[w] |= 1 << c
-                    touched.append(w)
+            bit = 1 << c
+            touched = [w for w in nbrs[v] if sat[w] >= 0 and not seen[w] & bit]
+            for w in touched:
+                seen[w] |= bit
+                sat[w] += 1
             if rec(done + 1, max(max_used, c)):
                 return True
-            colors[v] = -1
             for w in touched:
-                seen[w] &= ~(1 << c)
+                seen[w] ^= bit
+                sat[w] -= 1
+        colors[v] = -1
+        sat[v] = saved
         return False
 
     if rec(len(clique), len(clique) - 1):
@@ -222,21 +223,16 @@ def oracle_chi(spec: GraphSpec, cap: int | None = None) -> tuple[int, dict[Verte
     """Exact chromatic number via iterative deepening on the color count."""
     verts, adj = _bit_graph(spec, cap)
     nv = len(verts)
+    nbrs = [list(_bits(a)) for a in adj]
     clique = _max_clique_bits(adj, nv)
     # greedy coloring in canonical order gives the upper end of the search
     greedy = [-1] * nv
     for v in range(nv):
-        used = 0
-        for w in _bits(adj[v]):
-            if greedy[w] >= 0:
-                used |= 1 << greedy[w]
-        c = 0
-        while used >> c & 1:
-            c += 1
-        greedy[v] = c
+        taken = {greedy[w] for w in nbrs[v]}
+        greedy[v] = next(c for c in range(nv) if c not in taken)
     upper = max(greedy) + 1 if nv else 0
     for k in range(len(clique), upper):
-        colors = _k_coloring(adj, nv, k, clique)
+        colors = _k_coloring(nbrs, k, clique)
         if colors is not None:
             return k, {verts[i]: colors[i] for i in range(nv)}
     return upper, {verts[i]: greedy[i] for i in range(nv)}

@@ -1,6 +1,7 @@
-"""Descriptor maps, group enumeration, and the backtracking count."""
+"""Descriptor maps, group enumeration, and the orbit-stabilizer count."""
 
 import itertools
+import math
 
 import pytest
 
@@ -15,8 +16,9 @@ from rooklab.automorphisms import (
     outside_hypothesis,
     preserves_adjacency,
 )
-from rooklab.core import csr_spec, edges, enumerate_vertices, sr_spec
+from rooklab.core import CSR, SR, GraphSpec, csr_spec, edges, enumerate_vertices, sr_spec
 from rooklab.errors import CapExceededError
+from rooklab.oracles import _bit_graph, _bits
 
 
 def test_identity_fixes_everything():
@@ -127,3 +129,91 @@ def test_descriptor_maps_injective_csr44():
 def test_aut_cap():
     with pytest.raises(CapExceededError):
         oracle_aut_count(csr_spec(5, 4), cap=100)
+
+
+def leaf_aut_count(spec):
+    """The automorphism count as it was before orbit-stabilizer: one
+    backtracking tree whose leaves are the automorphisms, counted one by one.
+    Kept as the reference the orbit-stabilizer count must match."""
+    verts, adj = _bit_graph(spec, spec.vertex_count)
+    nv = len(verts)
+    if nv == 1:
+        return 1
+    full = (1 << nv) - 1
+    common = [[(adj[u] & adj[v]).bit_count() for v in range(nv)] for u in range(nv)]
+    signature = [tuple(sorted(common[u][v] for v in _bits(adj[u]))) for u in range(nv)]
+    sig_mask = {}
+    for u in range(nv):
+        sig_mask[signature[u]] = sig_mask.get(signature[u], 0) | (1 << u)
+    order = [0]
+    seen = {0}
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for w in _bits(adj[u]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                queue.append(w)
+    order += [u for u in range(nv) if u not in seen]
+    images = [0] * nv
+    count = 0
+
+    def extend(k, used):
+        nonlocal count
+        if k == nv:
+            count += 1
+            return
+        v = order[k]
+        cand = sig_mask[signature[v]] & ~used & full
+        for t in range(k):
+            u = order[t]
+            if cand == 0:
+                return
+            if adj[u] >> v & 1:
+                cand &= adj[images[t]]
+            else:
+                cand &= ~adj[images[t]]
+        for w in _bits(cand):
+            if all(common[order[t]][v] == common[images[t]][w] for t in range(k)):
+                images[k] = w
+                extend(k + 1, used | (1 << w))
+
+    extend(0, 0)
+    return count
+
+
+# every SR/CSR spec with m >= 3, n >= 2 and at most 36 vertices, except the
+# three on which the leaf counter takes seconds to minutes (SR(7,2), SR(8,2)
+# and CSR(6,2))
+REFERENCE_SPECS = [
+    GraphSpec(family, m, n)
+    for family in (SR, CSR)
+    for m in range(3, 10)
+    for n in range(2, 10)
+    if GraphSpec(family, m, n).vertex_count <= 36
+    and (family, m, n) not in {(SR, 7, 2), (SR, 8, 2), (CSR, 6, 2)}
+]
+
+
+def test_reference_spec_matrix_size():
+    assert len(REFERENCE_SPECS) == 20
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=[s.label() for s in REFERENCE_SPECS])
+def test_oracle_count_matches_leaf_reference(spec):
+    assert oracle_aut_count(spec) == leaf_aut_count(spec)
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [
+        (sr_spec(2, 14), math.factorial(15)),  # K_15
+        (csr_spec(4, 4), 3072),
+        (csr_spec(5, 3), 19440),
+    ],
+    ids=["SR(2,14)", "CSR(4,4)", "CSR(5,3)"],
+)
+def test_oracle_count_large_groups(spec, order):
+    # groups the leaf counter cannot walk in reasonable time
+    assert oracle_aut_count(spec) == order

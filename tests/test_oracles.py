@@ -7,6 +7,10 @@ import pytest
 from rooklab.core import adjacent, csr_spec, enumerate_vertices, neighbors, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.oracles import (
+    _bit_graph,
+    _bits,
+    _k_coloring,
+    _max_clique_bits,
     all_pairs_distances,
     oracle_alpha,
     oracle_chi,
@@ -158,3 +162,70 @@ def test_search_caps():
         oracle_alpha(sr_spec(4, 20), cap=50)
     with pytest.raises(CapExceededError):
         all_pairs_distances(csr_spec(6, 6), cap=100)
+
+
+def scan_k_coloring(adj, nv, k, clique):
+    """The colouring search as it was before saturations were kept
+    incrementally: an O(nv) scan picks each branch vertex.  Kept as the
+    reference the faster search must match colour for colour."""
+    if len(clique) > k:
+        return None
+    colors = [-1] * nv
+    seen = [0] * nv
+    for c, v in enumerate(clique):
+        colors[v] = c
+        for w in _bits(adj[v]):
+            seen[w] |= 1 << c
+
+    def rec(done, max_used):
+        if done == nv:
+            return True
+        v = -1
+        sat = -1
+        for u in range(nv):
+            if colors[u] < 0:
+                s = seen[u].bit_count()
+                if s > sat:
+                    sat, v = s, u
+        limit = min(k, max_used + 2)
+        avail = ~seen[v] & ((1 << limit) - 1)
+        for c in _bits(avail):
+            colors[v] = c
+            touched = []
+            for w in _bits(adj[v]):
+                if not seen[w] >> c & 1:
+                    seen[w] |= 1 << c
+                    touched.append(w)
+            if rec(done + 1, max(max_used, c)):
+                return True
+            colors[v] = -1
+            for w in touched:
+                seen[w] &= ~(1 << c)
+        return False
+
+    if rec(len(clique), len(clique) - 1):
+        return colors
+    return None
+
+
+# every graph whose chromatic number the certify benchmark searches
+CERTIFY_CHI = [
+    sr_spec(3, 6), sr_spec(3, 9), sr_spec(4, 4), sr_spec(4, 5),
+    csr_spec(3, 5), csr_spec(3, 7), csr_spec(4, 3), csr_spec(4, 4),
+    csr_spec(3, 2), csr_spec(5, 2),
+]
+
+
+@pytest.mark.parametrize("spec", CERTIFY_CHI, ids=[s.label() for s in CERTIFY_CHI])
+def test_k_coloring_matches_scan_reference(spec):
+    # identical colour arrays (or None) for every k oracle_chi tries
+    verts, adj = _bit_graph(spec)
+    nv = len(verts)
+    nbrs = [list(_bits(a)) for a in adj]
+    clique = _max_clique_bits(adj, nv)
+    chi = oracle_chi(spec)[0]
+    assert chi >= len(clique)
+    for k in range(len(clique), chi + 1):
+        got = _k_coloring(nbrs, k, clique)
+        assert got == scan_k_coloring(adj, nv, k, clique)
+        assert (got is not None) == (k == chi)
