@@ -109,6 +109,68 @@ def test_cli_analyze_strict_character_spectrum_exit(monkeypatch, capsys):
         " detail=character sums vs dense eigensolve"
     ) in out
 
+EVALUATE_CASES = [
+    # the oracle value against one formula or bound per record
+    (dict(exact=3, oracle=4), ("oracle 4 != formula 3",), "discrepancy"),
+    (dict(lower=3, oracle=2), ("oracle 2 below lower bound 3",), "discrepancy"),
+    (dict(upper=3, oracle=4), ("oracle 4 above upper bound 3",), "discrepancy"),
+    (dict(exact=3, oracle=3), (), "certified"),
+    (dict(lower=2, oracle=2), (), "certified"),
+    (dict(upper=3, oracle=3), (), "certified"),
+    # without an oracle, the constructed value against the same
+    (dict(constructed=3, exact=4), ("constructed 3 != formula 4",), "discrepancy"),
+    (dict(constructed=1, lower=2), ("constructed 1 below lower bound 2",), "discrepancy"),
+    (dict(constructed=5, upper=4), ("constructed 5 above upper bound 4",), "discrepancy"),
+    (dict(constructed=4, exact=4), (), "bound-consistent"),
+    (dict(constructed=2, lower=2), (), "bound-consistent"),
+    (dict(constructed=4, upper=4), (), "bound-consistent"),
+    # with an oracle the constructed value is checked against it, not the bounds
+    (dict(constructed=1, lower=2, oracle=2), (), "certified"),
+    (dict(constructed=6, upper=5, oracle=5), ("constructed witness 6 exceeds oracle 5",), "discrepancy"),
+    # the witness against the oracle, by kind
+    (dict(kind="max", constructed=5, oracle=4), ("constructed witness 5 exceeds oracle 4",), "discrepancy"),
+    (dict(kind="min", constructed=3, oracle=4), ("constructed witness 3 below oracle 4",), "discrepancy"),
+    (dict(kind="max", constructed=3, oracle=4), (), "certified"),
+    (dict(kind="min", constructed=5, oracle=4), (), "certified"),
+    (
+        dict(kind="max", constructed=3, lower=5, oracle=4),
+        ("oracle 4 below lower bound 5",),
+        "discrepancy",
+    ),
+    (
+        dict(kind="min", constructed=3, upper=3, oracle=4),
+        ("oracle 4 above upper bound 3", "constructed witness 3 below oracle 4"),
+        "discrepancy",
+    ),
+    # problems already recorded are kept first and force a discrepancy
+    (
+        dict(exact=2, problems=("witness distance 3 != formula 2",)),
+        ("witness distance 3 != formula 2",),
+        "discrepancy",
+    ),
+    (
+        dict(exact=2, oracle=3, problems=("witness distance 3 != formula 2",)),
+        ("witness distance 3 != formula 2", "oracle 3 != formula 2"),
+        "discrepancy",
+    ),
+    # nothing to check against
+    (dict(), (), "oracle-skipped"),
+    (dict(lower=2, upper=5), (), "oracle-skipped"),
+    (dict(exact=2), (), "oracle-skipped"),
+    (dict(constructed=3), (), "oracle-skipped"),
+    (dict(oracle=3), (), "certified"),
+]
+
+
+@pytest.mark.parametrize("fields,problems,verdict", EVALUATE_CASES)
+def test_quantity_record_evaluate(fields, problems, verdict):
+    fields = {"kind": "max", **fields}
+    record = report.QuantityRecord("q", **fields)
+    record.evaluate()
+    assert record.problems == problems
+    assert record.verdict == verdict
+
+
 def test_oracle_selection_parsing():
     assert parse_oracle_selection("none") == frozenset()
     assert parse_oracle_selection("alpha,chi") == {"alpha", "chi"}
