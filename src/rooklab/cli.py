@@ -208,7 +208,7 @@ def _cmd_dominating_set(args) -> int:
 
 
 def _cmd_hamiltonian(args) -> int:
-    cycle = constructions.hamiltonian_cycle_sr(args.m, args.n)
+    cycle = constructions.hamiltonian_cycle_sr(args.m, args.n, cap=args.enum_cap)
     verdict = oracles.verify_cycle(cycle.spec, list(cycle.vertices), cycle.anchor_edge)
     print(
         f"hamiltonian-cycle m={args.m} n={args.n} length={len(cycle.vertices)} "

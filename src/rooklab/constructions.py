@@ -232,6 +232,7 @@ def conjectured_dominating_set_sr3(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     spec = sr_spec(3, n)
+    check_enum_cap(spec, cap)
     candidates = [(i, i, n - 2 * i) for i in range(n // 2 + 1)]
     covered = set(candidates)
     for d in candidates:
@@ -241,7 +242,7 @@ def conjectured_dominating_set_sr3(
     if compare_oracle:
         from .oracles import oracle_gamma
 
-        gamma = oracle_gamma(spec, cap)[0]
+        gamma = oracle_gamma(spec)[0]
     return ConjecturedDomination(n, candidates, dominates, gamma)
 
 
@@ -317,11 +318,12 @@ def _ham_cycle(m: int, n: int, memo: dict) -> list[Vertex]:
     return [_swap23(v) for v in raw]
 
 
-def hamiltonian_cycle_sr(m: int, n: int) -> HamiltonianCycle:
+def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> HamiltonianCycle:
     """Build the recursive Hamiltonian cycle of SR(m, n).
 
     Rejects the graphs that have no Hamiltonian cycle: m == 1 or n == 0
-    (single vertex) and (m, n) == (2, 1) (a single edge).
+    (single vertex) and (m, n) == (2, 1) (a single edge); `cap` bounds the
+    vertex count, checked before the recursion.
     """
     if m < 1 or n < 0:
         raise ValueError(f"invalid parameters m={m}, n={n}")
@@ -329,6 +331,7 @@ def hamiltonian_cycle_sr(m: int, n: int) -> HamiltonianCycle:
         raise ValueError(f"no Hamiltonian cycle: SR({m},{n}) is a single vertex")
     if (m, n) == (2, 1):
         raise ValueError("no Hamiltonian cycle: SR(2,1) is a single edge")
+    check_enum_cap(sr_spec(m, n), cap)
     if m == 2:
         cycle = [(n - i, i) for i in range(n + 1)]
     elif n == 1:

@@ -1,5 +1,6 @@
 """Zero partitionings, CSR distances and diameters, and the closed-form
-bound evaluators for both families.
+bounds table for both families: `bounds_report` returns the list of bound
+records that `analyze` prints and reads its verdict bounds from.
 
 The zero-partitioning number of a CSR vertex b is the maximum number of
 blocks in a partition of the coordinate indices such that every block's
@@ -165,50 +166,11 @@ class BoundRecord:
     formula: str  # evaluated formula, for reports
 
 
-@dataclass
-class BoundsReport:
-    """Every closed-form bound available for the family, floor/ceiling
-    applied only where the quantity is an integer."""
-
-    spec: GraphSpec
-    p: int
-    alpha_lower: int | None = None
-    alpha_upper: int | None = None
-    gamma_lower: int | None = None
-    gamma_upper: int | None = None
-    chi_lower: int | None = None
-    chi_upper: int | None = None
-    omega_formula: int | None = None
-    diam_formula: int | None = None
-
-    def records(self) -> list[BoundRecord]:
-        out = []
-        m, n, p = self.spec.m, self.spec.n, self.p
-        if self.alpha_lower is not None:
-            out.append(BoundRecord("alpha", "lower", self.alpha_lower, f"ceil(C({n+m-1},{n})/{p})"))
-        if self.alpha_upper is not None:
-            tag = f"floor(C({n+m-1},{n})/{m})" if self.spec.degree > 0 else "|V| (edgeless)"
-            out.append(BoundRecord("alpha", "upper", self.alpha_upper, tag))
-        if self.gamma_lower is not None:
-            out.append(
-                BoundRecord("gamma", "lower", self.gamma_lower, f"ceil(C({n+m-1},{m-1})/{n*(m-1)+1})")
-            )
-        if self.gamma_upper is not None:
-            out.append(BoundRecord("gamma", "upper", self.gamma_upper, f"floor(C({n+m-1},{m-2})/2)"))
-        if self.chi_lower is not None:
-            out.append(BoundRecord("chi", "lower", self.chi_lower, f"m={m}"))
-        if self.chi_upper is not None:
-            out.append(BoundRecord("chi", "upper", self.chi_upper, f"p={p}"))
-        if self.omega_formula is not None:
-            out.append(BoundRecord("omega", "exact", self.omega_formula, f"max({n},{m})"))
-        if self.diam_formula is not None:
-            tag = f"min({m-1},{n})" if self.spec.family == SR else f"{m}-floor({m-1}/{n})-1"
-            out.append(BoundRecord("diameter", "exact", self.diam_formula, tag))
-        return out
-
-
-def bounds_report(spec: GraphSpec) -> BoundsReport:
-    """Evaluate the family's closed-form bounds with exact integer arithmetic.
+def bounds_report(spec: GraphSpec) -> list[BoundRecord]:
+    """The family's closed-form bounds in exact integer arithmetic, as the
+    record list `analyze` prints: alpha, gamma and chi lower/upper, then
+    omega and the diameter.  Floor/ceiling is applied only where the
+    quantity is an integer.
 
     SR: alpha in [ceil(N/p), floor(N/m)] for N = C(n+m-1, n) and the default
     prime p; gamma in [ceil(N/(degree+1)), floor(C(n+m-1, m-2)/2)] (the upper
@@ -218,24 +180,30 @@ def bounds_report(spec: GraphSpec) -> BoundsReport:
     """
     m, n = spec.m, spec.n
     p = default_prime(spec)
-    report = BoundsReport(spec, p)
+    out: list[BoundRecord] = []
     if spec.family == SR:
         total = math.comb(n + m - 1, n)
-        report.alpha_lower = -(-total // p)
+        out.append(BoundRecord("alpha", "lower", -(-total // p), f"ceil(C({n+m-1},{n})/{p})"))
         # the spectral bound total/m needs edges; edgeless graphs have alpha = |V|
-        report.alpha_upper = total // m if spec.degree > 0 else total
-        report.gamma_lower = -(-total // (spec.degree + 1))
+        if spec.degree > 0:
+            out.append(BoundRecord("alpha", "upper", total // m, f"floor(C({n+m-1},{n})/{m})"))
+        else:
+            out.append(BoundRecord("alpha", "upper", total, "|V| (edgeless)"))
+        lower = -(-total // (spec.degree + 1))
+        out.append(BoundRecord("gamma", "lower", lower, f"ceil(C({n+m-1},{m-1})/{n*(m-1)+1})"))
         if m >= 3:
-            report.gamma_upper = math.comb(n + m - 1, m - 2) // 2
-        report.diam_formula = sr_diameter(m, n)
+            upper = math.comb(n + m - 1, m - 2) // 2
+            out.append(BoundRecord("gamma", "upper", upper, f"floor(C({n+m-1},{m-2})/2)"))
+        out.append(BoundRecord("diameter", "exact", sr_diameter(m, n), f"min({m-1},{n})"))
     else:
         if n >= 2:
-            report.chi_lower = m
-            report.chi_upper = p
+            out.append(BoundRecord("chi", "lower", m, f"m={m}"))
+            out.append(BoundRecord("chi", "upper", p, f"p={p}"))
         if m >= 2 and n >= 2:
-            report.omega_formula = max(n, m)
-        report.diam_formula = csr_diameter(m, n)
-    return report
+            out.append(BoundRecord("omega", "exact", max(n, m), f"max({n},{m})"))
+        diam = csr_diameter(m, n)
+        out.append(BoundRecord("diameter", "exact", diam, f"{m}-floor({m-1}/{n})-1"))
+    return out
 
 
 def hoffman_alpha_bound(m: int, n: int) -> Fraction:
@@ -272,10 +240,10 @@ def gamma_order_check(m: int, n_values, cap: int | None = None) -> list[GammaRow
     rows = []
     for n in n_values:
         spec = GraphSpec(SR, m, n)
-        lower = -(-spec.vertex_count // (spec.degree + 1))
+        bound = {b.side: b.value for b in bounds_report(spec) if b.quantity == "gamma"}
         gamma = oracle_gamma(spec, cap)[0]
         dom = dominating_set_sr(m, n)
-        upper = int(dom.size_upper_bound())  # floor; gamma is an integer
+        lower, upper = bound["lower"], bound["upper"]
         rows.append(
             GammaRow(
                 n,

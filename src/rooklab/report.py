@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 from . import config
 from .constructions import (
     default_prime,
+    dominating_set_sr,
     max_clique_csr,
     proper_coloring,
     residue_independent_family,
@@ -50,52 +51,37 @@ class QuantityRecord:
     notes: tuple[str, ...] = ()
 
     def evaluate(self) -> None:
-        """Set the verdict; problems already recorded are kept and force
-        a discrepancy."""
+        """Check the oracle value, or without an oracle the constructed value,
+        against the formula and bounds, then the constructed witness against
+        the oracle, and set the verdict.  Problems already recorded are kept
+        and force a discrepancy."""
         problems = list(self.problems)
         if self.oracle is not None:
-            if self.exact is not None and self.oracle != self.exact:
-                problems.append(f"oracle {self.oracle} != formula {self.exact}")
-            if self.lower is not None and self.oracle < self.lower:
-                problems.append(f"oracle {self.oracle} below lower bound {self.lower}")
-            if self.upper is not None and self.oracle > self.upper:
-                problems.append(f"oracle {self.oracle} above upper bound {self.upper}")
-            if self.constructed is not None:
-                if self.kind == "max" and self.constructed > self.oracle:
-                    problems.append(
-                        f"constructed witness {self.constructed} exceeds oracle {self.oracle}"
-                    )
-                if self.kind == "min" and self.constructed < self.oracle:
-                    problems.append(
-                        f"constructed witness {self.constructed} below oracle {self.oracle}"
-                    )
-            self.verdict = CERTIFIED if not problems else DISCREPANCY
+            source, value = "oracle", self.oracle
         else:
-            checked = False
-            if self.constructed is not None:
-                if self.lower is not None:
-                    checked = True
-                    if self.constructed < self.lower:
-                        problems.append(
-                            f"constructed {self.constructed} below lower bound {self.lower}"
-                        )
-                if self.upper is not None:
-                    checked = True
-                    if self.constructed > self.upper:
-                        problems.append(
-                            f"constructed {self.constructed} above upper bound {self.upper}"
-                        )
-                if self.exact is not None:
-                    checked = True
-                    if self.constructed != self.exact:
-                        problems.append(
-                            f"constructed {self.constructed} != formula {self.exact}"
-                        )
-            if problems:
-                self.verdict = DISCREPANCY
-            else:
-                self.verdict = BOUND_CONSISTENT if checked else ORACLE_SKIPPED
+            source, value = "constructed", self.constructed
+        if value is not None:
+            if self.exact is not None and value != self.exact:
+                problems.append(f"{source} {value} != formula {self.exact}")
+            if self.lower is not None and value < self.lower:
+                problems.append(f"{source} {value} below lower bound {self.lower}")
+            if self.upper is not None and value > self.upper:
+                problems.append(f"{source} {value} above upper bound {self.upper}")
+        if self.oracle is not None and self.constructed is not None:
+            witness = f"constructed witness {self.constructed}"
+            if self.kind == "max" and self.constructed > self.oracle:
+                problems.append(f"{witness} exceeds oracle {self.oracle}")
+            if self.kind == "min" and self.constructed < self.oracle:
+                problems.append(f"{witness} below oracle {self.oracle}")
         self.problems = tuple(problems)
+        if problems:
+            self.verdict = DISCREPANCY
+        elif self.oracle is not None:
+            self.verdict = CERTIFIED
+        elif value is not None and (self.exact, self.lower, self.upper) != (None, None, None):
+            self.verdict = BOUND_CONSISTENT
+        else:
+            self.verdict = ORACLE_SKIPPED
 
 
 @dataclass
@@ -193,19 +179,21 @@ def build_report(
     the spectral/coloring checks, with oracles run for the named quantities."""
     from . import oracles, spectral
 
-    p = default_prime(spec)
-    report = AnalysisReport(spec, p)
-    fam_bounds = bounds_report(spec)
-    report.bounds = fam_bounds.records()
+    report = AnalysisReport(spec, default_prime(spec), bounds=bounds_report(spec))
+    bound = {(b.quantity, b.side): b.value for b in report.bounds}
+
+    def quantity(name: str, kind: str) -> QuantityRecord:
+        """A new record carrying every bound the table holds for `name`."""
+        sides = {side: bound.get((name, side)) for side in ("lower", "upper", "exact")}
+        report.records.append(QuantityRecord(name, kind, **sides))
+        return report.records[-1]
 
     classes = residue_independent_family(spec, cap=enum_cap)
 
-    # alpha
-    alpha = QuantityRecord("alpha", "max")
+    alpha = quantity("alpha", "max")
     if spec.family == SR:
         alpha.constructed = classes.best_size
         alpha.construction = "largest residue class (independent for SR)"
-        alpha.lower, alpha.upper = fam_bounds.alpha_lower, fam_bounds.alpha_upper
     else:
         verified = classes.best_verified()
         if verified is not None:
@@ -213,35 +201,22 @@ def build_report(
             alpha.construction = "largest residue class passing the independence scan"
     if "alpha" in oracle_names:
         alpha.oracle = oracles.oracle_alpha(spec)[0]
-    alpha.evaluate()
-    report.records.append(alpha)
 
-    # gamma
-    gamma = QuantityRecord("gamma", "min")
+    gamma = quantity("gamma", "min")
     if spec.family == SR and spec.m >= 3:
-        from .constructions import dominating_set_sr
-
         dom = dominating_set_sr(spec.m, spec.n, cap=enum_cap)
         gamma.constructed = dom.size
         gamma.construction = "equal-first-two-coordinates dominating set"
-    if spec.family == SR:
-        gamma.lower, gamma.upper = fam_bounds.gamma_lower, fam_bounds.gamma_upper
     if "gamma" in oracle_names:
         gamma.oracle = oracles.oracle_gamma(spec)[0]
-    gamma.evaluate()
-    report.records.append(gamma)
 
-    # omega
-    omega = QuantityRecord("omega", "max")
+    omega = quantity("omega", "max")
     if spec.family == CSR and spec.m >= 2 and spec.n >= 2:
         clique = max_clique_csr(spec.m, spec.n)
         omega.constructed = clique.size
         omega.construction = f"{clique.kind}-type clique"
-        omega.exact = fam_bounds.omega_formula
     if "omega" in oracle_names:
         omega.oracle = oracles.oracle_omega(spec)[0]
-    omega.evaluate()
-    report.records.append(omega)
 
     # chi, with the residue coloring scan as a check record
     coloring = proper_coloring(spec, cap=enum_cap)
@@ -254,32 +229,25 @@ def build_report(
             + coloring.first_text(),
         )
     )
-    chi = QuantityRecord("chi", "min")
+    chi = quantity("chi", "min")
     if coloring.proper:
         chi.constructed = coloring.p
         chi.construction = "residue coloring (scan passed)"
-    chi.lower, chi.upper = fam_bounds.chi_lower, fam_bounds.chi_upper
     if "chi" in oracle_names:
         chi.oracle = oracles.oracle_chi(spec)[0]
-    chi.evaluate()
-    report.records.append(chi)
 
-    # diameter
-    diam = QuantityRecord("diameter", "exact")
-    diam.exact = fam_bounds.diam_formula
+    diam = quantity("diameter", "exact")
     if spec.family == CSR:
         witness = csr_eccentric_vertex(spec.m, spec.n)
         wdist = csr_distance(spec, (0,) * spec.m, witness, mask_cap)
         diam.notes = (f"eccentric vertex {format_vertex(witness)} at origin distance {wdist}",)
         if wdist != diam.exact:
-            diam.problems = diam.problems + (
-                f"witness distance {wdist} != formula {diam.exact}",
-            )
+            diam.problems = (f"witness distance {wdist} != formula {diam.exact}",)
     if "diameter" in oracle_names:
         _, dist = oracles.all_pairs_distances(spec)
         diam.oracle = int(dist.max())
-    diam.evaluate()
-    report.records.append(diam)
+    for record in report.records:
+        record.evaluate()
 
     # spectral checks
     if spec.vertex_count <= config.eig_cap(eig_cap):

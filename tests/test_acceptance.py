@@ -58,8 +58,8 @@ def test_c01_alpha_sr3_closed_form():
         ok &= fam.best_size >= -(-total // fam.p)
         if n >= 1:
             ok &= total // 3 >= alpha  # the spectral upper bound, floor applied
-        bounds = bounds_report(spec)
-        ok &= bounds.alpha_upper >= alpha  # edgeless n=0 falls back to |V|
+        bounds = {(b.quantity, b.side): b.value for b in bounds_report(spec)}
+        ok &= bounds["alpha", "upper"] >= alpha  # edgeless n=0 falls back to |V|
     elapsed = time.monotonic() - start
     _gate(1, "alpha(SR(3,n)) = 1 + floor(2n/3) for n <= 12 with class and spectral bounds", ok and elapsed < 60, elapsed)
 

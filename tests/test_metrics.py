@@ -273,32 +273,36 @@ def test_sr_diameter_against_bfs(m, n):
 # -- bounds ------------------------------------------------------------------------
 
 
+def bound_values(spec):
+    return {(b.quantity, b.side): b.value for b in bounds_report(spec)}
+
+
 def test_bounds_sr32():
-    report = bounds_report(sr_spec(3, 2))
-    assert report.alpha_lower == 2 and report.alpha_upper == 2
+    report = bound_values(sr_spec(3, 2))
+    assert report["alpha", "lower"] == 2 and report["alpha", "upper"] == 2
     assert oracle_alpha(sr_spec(3, 2))[0] == 2
-    assert report.gamma_lower == 2 and report.gamma_upper == 2
-    assert report.diam_formula == 2
+    assert report["gamma", "lower"] == 2 and report["gamma", "upper"] == 2
+    assert report["diameter", "exact"] == 2
 
 
 def test_bounds_sr36():
-    report = bounds_report(sr_spec(3, 6))
-    assert report.p == 7
-    assert report.alpha_lower == 4  # ceil(28/7)
-    assert report.alpha_upper == 9  # floor(28/3)
+    report = bound_values(sr_spec(3, 6))
+    assert bounds_report(sr_spec(3, 6))[0].formula == "ceil(C(8,6)/7)"  # p = 7
+    assert report["alpha", "lower"] == 4  # ceil(28/7)
+    assert report["alpha", "upper"] == 9  # floor(28/3)
     assert oracle_alpha(sr_spec(3, 6))[0] == 5
 
 
 def test_bounds_csr45():
-    report = bounds_report(csr_spec(4, 5))
-    assert report.chi_lower == 4 and report.chi_upper == 5
-    assert report.omega_formula == 5
-    assert report.alpha_lower is None and report.gamma_lower is None
+    report = bound_values(csr_spec(4, 5))
+    assert report["chi", "lower"] == 4 and report["chi", "upper"] == 5
+    assert report["omega", "exact"] == 5
+    assert ("alpha", "lower") not in report and ("gamma", "lower") not in report
 
 
 def test_bounds_edgeless_sr():
-    report = bounds_report(sr_spec(3, 0))
-    assert report.alpha_upper == 1  # spectral bound does not apply without edges
+    report = bound_values(sr_spec(3, 0))
+    assert report["alpha", "upper"] == 1  # spectral bound does not apply without edges
 
 
 def test_hoffman_bound_values():

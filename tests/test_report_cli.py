@@ -255,6 +255,15 @@ def test_cli_construct_hamiltonian_rejects(capsys):
     assert "no Hamiltonian cycle" in err
 
 
+def test_cli_construct_hamiltonian_enum_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "hamiltonian-cycle", "-m", "3", "-n", "4", "--enum-cap", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: SR(3,4) has 15 vertices, over the enumeration cap 2\n"
+
+
 def test_cli_construct_hamiltonian_export(tmp_path, capsys):
     path = tmp_path / "cycle.txt"
     code, out, _ = run_cli(
@@ -288,6 +297,26 @@ def test_cli_construct_dominating_set(capsys):
     )
     assert code == 0
     assert "size=3" in out and "verdict dominates=yes" in out and "oracle gamma=3" in out
+
+
+@pytest.mark.parametrize("conjectured", [(), ("--conjectured",)])
+def test_cli_dominating_set_enum_cap(conjectured, capsys):
+    code, _, err = run_cli(
+        capsys, "construct", "dominating-set", "-m", "3", "-n", "2", *conjectured,
+        "--oracle", "--enum-cap", "5",
+    )
+    assert code == 2
+    assert err == "error: SR(3,2) has 6 vertices, over the enumeration cap 5\n"
+
+
+def test_cli_conjectured_enum_cap_keeps_search_cap(capsys):
+    # a large --enum-cap must not lift the exact-gamma search cap
+    code, _, err = run_cli(
+        capsys, "construct", "dominating-set", "-m", "3", "-n", "20", "--conjectured",
+        "--oracle", "--enum-cap", "300",
+    )
+    assert code == 2
+    assert err == "error: SR(3,20) has 231 vertices, over the search cap 200\n"
 
 
 def test_cli_aut_count_only(capsys):
