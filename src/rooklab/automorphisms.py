@@ -10,9 +10,15 @@ outside-hypothesis flag and the oracle count documents the difference.
 The oracle counts by orbit-stabilizer along a stabilizer chain (the idea
 behind nauty): with G_(B_k) the automorphisms fixing v_0..v_{k-1} pointwise,
 |G_(B_k)| = |v_k^{G_(B_k)}| * |G_(B_{k+1})|.  Each orbit is found by asking,
-for each candidate image w of v_k, whether one adjacency-preserving
-extension exists, so the search never walks the whole group.  It reads only
-adjacency, never the parametrization it checks.
+for a candidate image w of v_k, whether one adjacency-preserving extension
+exists, so the search never walks the whole group.  The levels are walked
+from the deepest up, and every extension found is a full automorphism that
+fixes B_k, so it also lies in every shallower G_(B_j).  A union-find over the
+vertices joins each point to its image under every automorphism found (the
+orbit pruning of McKay & Piperno, "Practical graph isomorphism, II", 2014):
+a candidate already in v_k's class is in its orbit without a search, and one
+in the class of a candidate whose search failed is outside it.  It reads
+only adjacency, never the parametrization it checks.
 """
 
 from __future__ import annotations
@@ -116,9 +122,10 @@ def enumerate_group(m: int, n: int) -> Iterator[AutDescriptor]:
 
 def oracle_aut_count(spec: GraphSpec, cap: int | None = None) -> int:
     """Number of adjacency-preserving bijections, by orbit-stabilizer along
-    the BFS order (see the module docstring).  Candidate images are pruned by
-    adjacency to the mapped vertices and by common-neighbor counts (degrees
-    alone cannot tell vertices of these vertex-transitive graphs apart).
+    the BFS order with generator-orbit pruning (see the module docstring).
+    Candidate images are pruned by adjacency to the mapped vertices and by
+    common-neighbor counts (degrees alone cannot tell vertices of these
+    vertex-transitive graphs apart).
     """
     limit = config.aut_cap(cap)
     check_cap(spec, limit, "automorphism search")
@@ -167,11 +174,34 @@ def oracle_aut_count(spec: GraphSpec, cap: int | None = None) -> int:
                 return True
         return False
 
-    count, used = 1, 0
-    for k, v in enumerate(order):
-        # v_k's orbit under G_(B_k): v_k itself (the identity) and every
-        # other candidate with an extension
-        count *= 1 + sum(extends(k, w, used) for w in candidates(k, used) if w != v)
-        images[k] = v
-        used |= 1 << v
+    # union-find over vertices: the orbits of the automorphisms found so far
+    parent = list(range(nv))
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    # deepest level first: every automorphism found so far fixes B_k
+    # pointwise, so v_k's class is part of its orbit under G_(B_k)
+    count, used = 1, (1 << nv) - 1
+    for k in range(nv - 1, -1, -1):
+        v = order[k]
+        used ^= 1 << v  # B_k = order[:k], fixed by images[:k]
+        orbit = 0
+        outside: set[int] = set()  # roots of classes with a failed search
+        for w in candidates(k, used):
+            root = find(w)
+            if root == find(v):
+                orbit += 1
+            elif root in outside:
+                continue
+            elif extends(k, w, used):
+                orbit += 1
+                for t in range(k, nv):
+                    parent[find(order[t])] = find(images[t])
+                outside = {find(r) for r in outside}
+            else:
+                outside.add(root)
+        count *= orbit
     return count

@@ -8,6 +8,9 @@ Environment variables (used when a function receives no explicit value):
                         m = 22 takes under 1 s and about 60 MB)
     ROOKLAB_TOL         numeric tolerance for spectral verdicts (default 1e-6)
 
+A negative value, passed explicitly (from --enum-cap, --eig-cap, --mask-limit
+or --tol) or read from a variable, is a ValueError naming its source.
+
 Search caps for the brute-force oracles have plain defaults and are set per
 call; they guard runtime, not correctness.
 """
@@ -25,35 +28,40 @@ DEFAULT_AUT_CAP = 128
 EIG_MERGE_TOL = 1e-8
 
 
-def _read(value, name: str, default, kind=int):
+def _read(value, flag: str, name: str, default, kind=int):
     """value if given, else the environment variable `name`, else default,
-    converted by kind; a malformed variable is a ValueError naming it."""
+    converted by kind.  A malformed variable, or a negative value from either
+    source, is a ValueError naming the flag or the variable it came from."""
     if value is not None:
-        return kind(value)
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name}={text!r} is not {noun}") from None
+        value, source = kind(value), flag
+    else:
+        text = os.environ.get(name)
+        if text is None:
+            return default
+        try:
+            value, source = kind(text), name
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{name}={text!r} is not {noun}") from None
+    if not value >= 0:  # also rejects a NaN tolerance
+        raise ValueError(f"{source} must be 0 or more, got {value}")
+    return value
 
 
 def enum_cap(value: int | None = None) -> int:
-    return _read(value, "ROOKLAB_ENUM_CAP", DEFAULT_ENUM_CAP)
+    return _read(value, "--enum-cap", "ROOKLAB_ENUM_CAP", DEFAULT_ENUM_CAP)
 
 
 def eig_cap(value: int | None = None) -> int:
-    return _read(value, "ROOKLAB_EIG_CAP", DEFAULT_EIG_CAP)
+    return _read(value, "--eig-cap", "ROOKLAB_EIG_CAP", DEFAULT_EIG_CAP)
 
 
 def mask_limit(value: int | None = None) -> int:
-    return _read(value, "ROOKLAB_MASK_LIMIT", DEFAULT_MASK_LIMIT)
+    return _read(value, "--mask-limit", "ROOKLAB_MASK_LIMIT", DEFAULT_MASK_LIMIT)
 
 
 def tol(value: float | None = None) -> float:
-    return _read(value, "ROOKLAB_TOL", DEFAULT_TOL, float)
+    return _read(value, "--tol", "ROOKLAB_TOL", DEFAULT_TOL, float)
 
 
 def search_cap(value: int | None = None) -> int:

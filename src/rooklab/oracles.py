@@ -4,9 +4,11 @@ and the Hamiltonian-cycle checker.
 Everything here is deliberately independent of the closed-form constructions
 it certifies: max clique / independent set use a coloring-bound branch and
 bound, domination uses iterative-deepening set cover, coloring uses
-saturation-ordered backtracking (saturations kept up to date incrementally as
-vertices are colored and uncolored), distances use plain BFS.  Vertex sets live
-in bitmasks (Python ints), so the practical limit is a few hundred vertices.
+saturation-ordered backtracking (the uncolored vertices kept in one bitmask
+per saturation level, so coloring a vertex moves its affected neighbors up a
+level with one mask operation per level), distances use plain BFS.  Vertex
+sets live in bitmasks (Python ints), so the practical limit is a few hundred
+vertices.
 """
 
 from __future__ import annotations
@@ -181,40 +183,57 @@ def _k_coloring(nbrs: list[list[int]], k: int, clique: list[int]):
     if len(clique) > k:
         return None
     nv = len(nbrs)
+    adj = [sum(1 << w for w in row) for row in nbrs]
     colors = [-1] * nv
-    seen = [0] * nv  # bitmask of colors present in each vertex's neighborhood
+    sees = [0] * k  # sees[c]: the vertices with a neighbor colored c
+    uncolored = (1 << nv) - 1
     for c, v in enumerate(clique):
         colors[v] = c
-        for w in nbrs[v]:
-            seen[w] |= 1 << c
-    # saturation (distinct neighbor colors) of each uncolored vertex, -1 once
-    # colored; seen is kept current only for uncolored vertices
-    sat = [-1 if colors[u] >= 0 else seen[u].bit_count() for u in range(nv)]
+        sees[c] = adj[v]
+        uncolored ^= 1 << v
+    # level[s]: the uncolored vertices with saturation (distinct neighbor
+    # colors) s; a vertex at level k sees every color, so none rises past it
+    level = [0] * (k + 1)
+    for u in _bits(uncolored):
+        level[sum(seen >> u & 1 for seen in sees)] |= 1 << u
 
-    def rec(done: int, max_used: int) -> bool:
-        if done == nv:
+    def rec(uncolored: int, max_used: int) -> bool:
+        if not uncolored:
             return True
         # saturation order: most distinct neighbor colors first, lowest index
-        v = sat.index(max(sat))
-        saved, sat[v] = sat[v], -1
-        limit = min(k, max_used + 2)  # at most one brand-new color
-        for c in _bits(~seen[v] & ((1 << limit) - 1)):
+        top = k
+        while not level[top]:
+            top -= 1
+        bit = level[top] & -level[top]
+        v = bit.bit_length() - 1
+        level[top] ^= bit
+        uncolored ^= bit
+        near = adj[v]
+        saved = level.copy()
+        for c in range(min(k, max_used + 2)):  # at most one brand-new color
+            seen_c = sees[c]
+            if seen_c & bit:
+                continue
             colors[v] = c
-            bit = 1 << c
-            touched = [w for w in nbrs[v] if sat[w] >= 0 and not seen[w] & bit]
-            for w in touched:
-                seen[w] |= bit
-                sat[w] += 1
-            if rec(done + 1, max(max_used, c)):
+            # every uncolored neighbor new to color c rises one level
+            rise = near & uncolored & ~seen_c
+            for s in range(top, -1, -1):
+                moved = level[s] & rise
+                if moved:
+                    level[s] ^= moved
+                    level[s + 1] |= moved
+                    rise ^= moved
+                    if not rise:
+                        break
+            sees[c] = seen_c | near
+            if rec(uncolored, max(max_used, c)):
                 return True
-            for w in touched:
-                seen[w] ^= bit
-                sat[w] -= 1
-        colors[v] = -1
-        sat[v] = saved
+            sees[c] = seen_c
+            level[:] = saved
+        level[top] |= bit
         return False
 
-    if rec(len(clique), len(clique) - 1):
+    if rec(uncolored, len(clique) - 1):
         return colors
     return None
 

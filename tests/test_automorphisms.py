@@ -205,14 +205,82 @@ def test_oracle_count_matches_leaf_reference(spec):
     assert oracle_aut_count(spec) == leaf_aut_count(spec)
 
 
+def candidate_aut_count(spec):
+    """The orbit-stabilizer count as it was before generator orbits: levels
+    walked first to last, one extension search for every candidate image.
+    Kept as the reference the pruned count must match on graphs too large
+    for the leaf counter."""
+    verts, adj = _bit_graph(spec, spec.vertex_count)
+    nv = len(verts)
+    common = [[(adj[u] & adj[v]).bit_count() for v in range(nv)] for u in range(nv)]
+    signature = [tuple(sorted(common[u][v] for v in _bits(adj[u]))) for u in range(nv)]
+    sig_mask = {}
+    for u in range(nv):
+        sig_mask[signature[u]] = sig_mask.get(signature[u], 0) | (1 << u)
+    order, seen = [0], {0}
+    for u in order:
+        for w in _bits(adj[u]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    order += [u for u in range(nv) if u not in seen]
+    images = order.copy()
+
+    def candidates(k, used):
+        v = order[k]
+        cand = sig_mask[signature[v]] & ~used
+        for t in range(k):
+            cand &= adj[images[t]] if adj[order[t]] >> v & 1 else ~adj[images[t]]
+        for w in _bits(cand):
+            if all(common[order[t]][v] == common[images[t]][w] for t in range(k)):
+                yield w
+
+    def extends(k, w, used):
+        images[k] = w
+        used |= 1 << w
+        if k + 1 == nv:
+            return True
+        return any(extends(k + 1, x, used) for x in candidates(k + 1, used))
+
+    count, used = 1, 0
+    for k, v in enumerate(order):
+        count *= 1 + sum(extends(k, w, used) for w in candidates(k, used) if w != v)
+        images[k] = v
+        used |= 1 << v
+    return count
+
+
+# every SR/CSR spec with m >= 3, n >= 2 and 37 to 128 vertices, except
+# CSR(3, n) for n >= 8, where the candidate reference takes 3 s (n = 8) to
+# minutes
+CANDIDATE_SPECS = [
+    GraphSpec(family, m, n)
+    for family in (SR, CSR)
+    for m in range(3, 16)
+    for n in range(2, 16)
+    if 36 < GraphSpec(family, m, n).vertex_count <= 128
+    and not (family == CSR and m == 3 and n >= 8)
+]
+
+
+def test_candidate_spec_matrix_size():
+    assert len(CANDIDATE_SPECS) == 29
+
+
+@pytest.mark.parametrize("spec", CANDIDATE_SPECS, ids=[s.label() for s in CANDIDATE_SPECS])
+def test_oracle_count_matches_candidate_reference(spec):
+    assert oracle_aut_count(spec) == candidate_aut_count(spec)
+
+
 @pytest.mark.parametrize(
     "spec,order",
     [
         (sr_spec(2, 14), math.factorial(15)),  # K_15
+        (sr_spec(2, 100), math.factorial(101)),  # K_101
         (csr_spec(4, 4), 3072),
         (csr_spec(5, 3), 19440),
     ],
-    ids=["SR(2,14)", "CSR(4,4)", "CSR(5,3)"],
+    ids=["SR(2,14)", "SR(2,100)", "CSR(4,4)", "CSR(5,3)"],
 )
 def test_oracle_count_large_groups(spec, order):
     # groups the leaf counter cannot walk in reasonable time

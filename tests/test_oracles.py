@@ -1,6 +1,7 @@
 """The brute-force solvers against closed forms and tiny exhaustive checks."""
 
 import itertools
+import random
 
 import pytest
 
@@ -229,3 +230,32 @@ def test_k_coloring_matches_scan_reference(spec):
         got = _k_coloring(nbrs, k, clique)
         assert got == scan_k_coloring(adj, nv, k, clique)
         assert (got is not None) == (k == chi)
+
+
+def random_graph(seed):
+    """Adjacency bitmasks of a seeded G(n, p) with n in 8..30."""
+    rng = random.Random(seed)
+    nv = rng.randint(8, 30)
+    p = rng.uniform(0.15, 0.85)
+    adj = [0] * nv
+    for u, w in itertools.combinations(range(nv), 2):
+        if rng.random() < p:
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+    return adj
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_k_coloring_matches_scan_on_random_graphs(seed):
+    # irregular graphs tie saturations in ways the vertex-transitive
+    # CERTIFY_CHI graphs do not; every k from the clique size up to chi
+    adj = random_graph(seed)
+    nv = len(adj)
+    nbrs = [list(_bits(a)) for a in adj]
+    clique = _max_clique_bits(adj, nv)
+    for k in range(len(clique), nv + 1):
+        got = _k_coloring(nbrs, k, clique)
+        assert got == scan_k_coloring(adj, nv, k, clique)
+        if got is not None:
+            break
+    assert all(got[u] != got[w] for u in range(nv) for w in nbrs[u])

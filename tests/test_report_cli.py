@@ -413,6 +413,52 @@ def test_cli_malformed_env_names_variable(name, noun, capsys, monkeypatch):
     assert code == 1
     assert err == f"error: {name}='abc' is not {noun}\n"
 
+
+@pytest.mark.parametrize(
+    "flag,value,shown",
+    [
+        ("--enum-cap", "-1", "-1"),
+        ("--eig-cap", "-5", "-5"),
+        ("--mask-limit", "-1", "-1"),
+        ("--tol", "-0.5", "-0.5"),
+        ("--tol", "nan", "nan"),
+    ],
+)
+def test_cli_negative_flag_names_it(flag, value, shown, capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--family", "csr", "-m", "3", "-n", "3", flag, value
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} must be 0 or more, got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "name,shown",
+    [
+        ("ROOKLAB_ENUM_CAP", "-1"),
+        ("ROOKLAB_EIG_CAP", "-1"),
+        ("ROOKLAB_MASK_LIMIT", "-1"),
+        ("ROOKLAB_TOL", "-1.0"),
+    ],
+)
+def test_cli_negative_env_names_variable(name, shown, capsys, monkeypatch):
+    monkeypatch.setenv(name, "-1")
+    code, out, err = run_cli(capsys, "analyze", "--family", "csr", "-m", "3", "-n", "3")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} must be 0 or more, got {shown}\n"
+
+
+def test_cli_zero_caps_accepted(capsys):
+    # 0 is a cap like any other: the spectral checks are skipped, not refused
+    code, out, _ = run_cli(
+        capsys, "analyze", "--family", "csr", "-m", "3", "-n", "3", "--eig-cap", "0"
+    )
+    assert code == 0
+    assert "detail=skipped: vertex count over eigensolver cap" in out
+
+
 def test_cli_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--family", "xx", "-m", "3", "-n", "2"])
