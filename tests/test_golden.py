@@ -8,8 +8,10 @@ CSR(3,1), CSR(2,6), CSR(6,3), `aut`, `clique`, `dominating-set` and
 `hamiltonian-cycle` rows before the CSR character-sum spectrum was replaced
 by its closed form; and the `aut --oracle` rows and the `--oracle all` rows
 on SR(4,5) and CSR(4,4) before the automorphism count and the colouring
-search were rewritten.  So any change in what those commands print or write
-shows up here.  The distance queries are chosen so that several optimal
+search were rewritten; and the `coloring --family sr -m 3 -n 4` and
+`independent-set` rows on SR(4,3) and CSR(3,2) before the residue colouring
+and the residue independent sets were made one result.  So any change in
+what those commands print or write shows up here.  The distance queries are chosen so that several optimal
 blocks tie, which pins the witness tie-break.  Re-record only for an
 intended change of output, by running this file with GOLDEN_PRINT set to 1
 (and pytest's -s) and pasting the printed rows.  The `analyze` lines print
@@ -114,6 +116,30 @@ GOLDEN = [
         "construct independent-set --family csr -m 4 -n 4 --prime 5",
         0,
         "37b3c92c53cc46c1e810226120b9e3f43a410ffe491ea725b0ca9a8a14590530",
+        {},
+    ),
+    (  # p = 3 < n + 1: an improper SR colouring, reported with its first clash
+        "construct coloring --family sr -m 3 -n 4 --prime 3",
+        0,
+        "9c9a59099da680f7a7ead27ad3a976795be1229e98db4b7b9fa812b3784e28be",
+        {},
+    ),
+    (
+        "construct coloring --family sr -m 3 -n 4 --prime 3 --strict",
+        3,
+        "9c9a59099da680f7a7ead27ad3a976795be1229e98db4b7b9fa812b3784e28be",
+        {},
+    ),
+    (
+        "construct independent-set --family sr -m 4 -n 3",
+        0,
+        "4c6c3818ba7dd3b0b1c0a131372186fa0cfa8538b785b0866ed5b9c6e148c30b",
+        {},
+    ),
+    (
+        "construct independent-set --family csr -m 3 -n 2 --prime 3",
+        0,
+        "abd268daa86f2579f84d8b15f4b8220edfdc88d5d3926f0c747932584b0920b9",
         {},
     ),
     (

@@ -118,6 +118,7 @@ def test_residue_scan_matches_pairwise_reference(spec):
         coloring = proper_coloring(spec, p)
         assert (coloring.violations, coloring.first_violation) == (count, first), p
         assert coloring.proper == (count == 0)
+        assert coloring.colors_used == sum(1 for c in classes if c), p
         if p >= least:
             family = residue_independent_family(spec, p)
             assert family.classes == classes

@@ -291,6 +291,25 @@ def test_cli_construct_independent_set(capsys):
     assert "verdict proper-partition=yes" in out
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (
+            "construct independent-set --family csr -m 3 -n 3 --prime 2",
+            "error: p=2 is below 3, the least prime size that makes "
+            "the residue classes of CSR(3,3) reliable\n",
+        ),
+        (
+            "construct independent-set --family csr -m 3 -n 3 --prime 4",
+            "error: p=4 is not prime\n",
+        ),
+        ("construct coloring --family csr -m 3 -n 3 --prime 4", "error: p=4 is not prime\n"),
+    ],
+)
+def test_cli_construct_rejects_prime(argv, err, capsys):
+    assert run_cli(capsys, *argv.split()) == (1, "", err)
+
+
 def test_cli_construct_dominating_set(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "dominating-set", "-m", "3", "-n", "4", "--oracle"
