@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import automorphisms, constructions, hardness, metrics, oracles, report
+from . import automorphisms, config, constructions, hardness, metrics, oracles, report
 from .core import (
     GraphSpec,
     adjacent,
@@ -160,9 +160,8 @@ def _cmd_independent_set(args) -> int:
     spec = _spec_from_args(args)
     family = constructions.residue_independent_family(spec, args.prime, args.enum_cap)
     print(f"residue-family family={spec.family} m={spec.m} n={spec.n} p={family.p}")
-    for t, cls in enumerate(family.classes):
-        flag = "yes" if family.independent[t] else "no"
-        print(f"class index={t} size={len(cls)} independent={flag}")
+    for t, (cls, ok) in enumerate(zip(family.classes, family.independent)):
+        print(f"class index={t} size={len(cls)} independent={'yes' if ok else 'no'}")
     print(f"best index={family.best_index} size={family.best_size}")
     for v in family.classes[family.best_index]:
         print(f"vertex {format_vertex(v)}")
@@ -311,7 +310,16 @@ def _cmd_reduce(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    flags = (
+        (config.enum_cap, args.enum_cap),
+        (config.eig_cap, args.eig_cap),
+        (config.mask_limit, args.mask_limit),
+        (config.tol, args.tol),
+    )
     try:
+        for read, value in flags:  # every given flag, whether or not the command reads it
+            if value is not None:
+                read(value)
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

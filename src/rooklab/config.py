@@ -9,7 +9,9 @@ Environment variables (used when a function receives no explicit value):
     ROOKLAB_TOL         numeric tolerance for spectral verdicts (default 1e-6)
 
 A negative value, passed explicitly (from --enum-cap, --eig-cap, --mask-limit
-or --tol) or read from a variable, is a ValueError naming its source.
+or --tol) or read from a variable, is a ValueError naming its source.  The CLI
+checks every flag it was given when it starts, whether or not the command
+reads it; a variable is read only when a command needs its value.
 
 Search caps for the brute-force oracles have plain defaults and are set per
 call; they guard runtime, not correctness.

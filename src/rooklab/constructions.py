@@ -1,11 +1,14 @@
-"""Explicit constructions: residue-class independent sets, the equal-pair
-dominating set, the recursive Hamiltonian cycle, maximum CSR cliques, and
-residue colorings.
+"""Explicit constructions: the residue partition, the equal-pair dominating
+set, the recursive Hamiltonian cycle and maximum CSR cliques.
 
-Every construction is verified before (or as part of) returning: residue
-classes are scanned for internal edges, cliques for pairwise adjacency,
-colorings along every edge.  Guaranteed properties that fail their scan
-raise InternalConsistencyError; family-dependent ones return a verdict.
+One residue partition serves both the independent sets and the colouring:
+its classes are the candidate independent sets, its class index the colour,
+and one scan counts the edges inside each class.  Cliques are checked for
+pairwise adjacency as they are built.  Guaranteed properties that fail their
+scan raise InternalConsistencyError; family-dependent ones return a verdict.
+The equal-pair dominating set is not verified here, only by the witness scan
+of `construct dominating-set`; the Hamiltonian cycle is checked by
+`oracles.verify_cycle`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .core import (
     CSR,
     SR,
     GraphSpec,
-    IndexedGraph,
     Vertex,
     adjacent,
     check_enum_cap,
@@ -48,8 +50,8 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def default_prime(spec: GraphSpec) -> int:
-    """Smallest prime that gives the residue-class argument its guarantee.
+def _reliable_size(spec: GraphSpec) -> int:
+    """Least p that gives the residue-class argument its guarantee.
 
     On an SR edge the two changed coordinates move by the same amount, which
     can be as large as n, so the key difference (i-j)*(a_i-b_i) is only
@@ -58,9 +60,12 @@ def default_prime(spec: GraphSpec) -> int:
     CSR arithmetic already wraps mod n and carries per-class verdicts, so it
     keeps the weaker p >= max(m, n).
     """
-    if spec.family == SR:
-        return smallest_prime_at_least(max(spec.m, spec.n + 1, 1))
-    return smallest_prime_at_least(max(spec.m, spec.n, 1))
+    return max(spec.m, spec.n + 1) if spec.family == SR else max(spec.m, spec.n)
+
+
+def default_prime(spec: GraphSpec) -> int:
+    """Smallest prime that gives the residue-class argument its guarantee."""
+    return smallest_prime_at_least(_reliable_size(spec))
 
 
 def residue_key(v: tuple[int, ...], p: int) -> int:
@@ -68,22 +73,45 @@ def residue_key(v: tuple[int, ...], p: int) -> int:
     return sum((i + 1) * x for i, x in enumerate(v)) % p
 
 
-# -- residue-class independent sets --------------------------------------------
+# -- the residue partition: independent sets and colouring -----------------------
 
 
 @dataclass
 class ResidueClassFamily:
-    """Partition of the vertex set into p classes by residue key.
-
-    For SR every class is an independent set (this is enforced); for CSR
-    independence can fail through modular wraparound, so each class carries
-    the result of its own adjacency scan.
+    """Partition of the vertex set into p classes by residue key, with the
+    number of edges inside each class and the lexicographically least such
+    edge.  A class with no inside edge is an independent set; the class
+    index is a colour, proper when no class has an inside edge.
     """
 
     spec: GraphSpec
     p: int
     classes: list[list[Vertex]]
-    independent: list[bool]
+    counts: list[int]
+    first_violation: tuple[Vertex, Vertex] | None = None
+
+    @property
+    def independent(self) -> list[bool]:
+        return [count == 0 for count in self.counts]
+
+    @property
+    def violations(self) -> int:
+        """Number of monochromatic edges."""
+        return sum(self.counts)
+
+    @property
+    def proper(self) -> bool:
+        return self.violations == 0
+
+    @property
+    def colors_used(self) -> int:
+        return sum(1 for c in self.classes if c)
+
+    def first_text(self) -> str:
+        """' first=u;v' naming the least monochromatic edge, or ''."""
+        if self.first_violation is None:
+            return ""
+        return " first=" + ";".join(format_vertex(v) for v in self.first_violation)
 
     @property
     def best_index(self) -> int:
@@ -97,61 +125,65 @@ class ResidueClassFamily:
 
     def best_verified(self) -> tuple[int, list[Vertex]] | None:
         """Largest class that passed the independence scan, or None."""
-        verified = [t for t in range(self.p) if self.independent[t]]
+        verified = [t for t, count in enumerate(self.counts) if count == 0]
         if not verified:
             return None
         best = max(verified, key=lambda t: len(self.classes[t]))  # first of the largest
         return best, self.classes[best]
 
 
-def _residue_scan(
-    spec: GraphSpec, p: int, cap: int | None
-) -> tuple[IndexedGraph, list[int], np.ndarray, tuple[Vertex, Vertex] | None]:
-    """Residue key of every vertex, the number of edges inside each of the p
-    key classes (a class is independent exactly when its count is 0), and
-    the lexicographically least such edge, or None."""
-    graph = indexed_graph(spec, cap)
-    keys = graph.coords @ np.arange(1, spec.m + 1) % p
-    src, dst = graph.edge_index()
-    inside = keys[src] == keys[dst]
-    counts = np.bincount(keys[src[inside]], minlength=p)
-    first = None
-    if inside.any():
-        at = int(np.argmax(inside))
-        first = (graph.vertices[src[at]], graph.vertices[dst[at]])
-    return graph, keys.tolist(), counts, first
-
-
-def residue_independent_family(
+def proper_coloring(
     spec: GraphSpec, p: int | None = None, cap: int | None = None
 ) -> ResidueClassFamily:
-    """Split vertices by residue key mod p (p prime, default per family).
+    """Colour every vertex by its residue key mod p (any prime, default per
+    family) and count the edges inside each colour class.
 
-    SR classes must all pass the independence scan; a failure there is an
-    internal-consistency error.  CSR classes get per-class verdicts.
+    The scan verdict is part of the result: for SR the colouring is always
+    proper with the default prime (classes are independent); for CSR, or
+    below the default prime, it can fail, and the failure is reported
+    rather than raised.
     """
     if p is None:
         p = default_prime(spec)
     if not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    minimum = max(spec.m, spec.n + 1) if spec.family == SR else max(spec.m, spec.n)
-    if p < minimum:
+    graph = indexed_graph(spec, cap)
+    keys = graph.coords @ np.arange(1, spec.m + 1) % p
+    src, dst = graph.edge_index()
+    inside = keys[src] == keys[dst]
+    counts = np.bincount(keys[src[inside]], minlength=p).tolist()
+    first = None
+    if inside.any():
+        at = int(np.argmax(inside))
+        first = (graph.vertices[src[at]], graph.vertices[dst[at]])
+    classes: list[list[Vertex]] = [[] for _ in range(p)]
+    for v, key in zip(graph.vertices, keys.tolist()):
+        classes[key].append(v)
+    return ResidueClassFamily(spec, p, classes, counts, first)
+
+
+def residue_independent_family(
+    spec: GraphSpec, p: int | None = None, cap: int | None = None
+) -> ResidueClassFamily:
+    """The residue partition for a p that makes its classes reliable.
+
+    SR classes must all pass the independence scan; a failure there is an
+    internal-consistency error.  CSR classes get per-class verdicts.
+    """
+    least = _reliable_size(spec)
+    if p is not None and p < least and _is_prime(p):  # proper_coloring rejects the rest
         raise ValueError(
-            f"p={p} is below {minimum}, the least prime size that makes "
+            f"p={p} is below {least}, the least prime size that makes "
             f"the residue classes of {spec.label()} reliable"
         )
-    graph, keys, counts, _ = _residue_scan(spec, p, cap)
-    classes: list[list[Vertex]] = [[] for _ in range(p)]
-    for v, key in zip(graph.vertices, keys):
-        classes[key].append(v)
-    independent = (counts == 0).tolist()
-    if spec.family == SR and not all(independent):
-        bad = independent.index(False)
+    family = proper_coloring(spec, p, cap)
+    if spec.family == SR and not family.proper:
+        bad = family.independent.index(False)
         raise InternalConsistencyError(
             f"residue class {bad} of {spec.label()} contains an edge; "
             "this contradicts a guaranteed property of the SR family"
         )
-    return ResidueClassFamily(spec, p, classes, independent)
+    return family
 
 
 # -- dominating set for SR -----------------------------------------------------
@@ -393,52 +425,3 @@ def max_clique_csr(m: int, n: int) -> Clique:
                     f"non-adjacent pair {members[i]}, {members[j]}"
                 )
     return Clique(spec, kind, tuple(members))
-
-
-# -- residue colorings -----------------------------------------------------------
-
-
-@dataclass
-class ColoringResult:
-    """A coloring by residue key together with its edge-scan verdict."""
-
-    spec: GraphSpec
-    p: int
-    colors: dict[Vertex, int]
-    proper: bool
-    violations: int = 0
-    first_violation: tuple[Vertex, Vertex] | None = None
-    colors_used: int = 0
-
-    def first_text(self) -> str:
-        """' first=u;v' naming the least monochromatic edge, or ''."""
-        if self.first_violation is None:
-            return ""
-        return " first=" + ";".join(format_vertex(v) for v in self.first_violation)
-
-
-def proper_coloring(
-    spec: GraphSpec, p: int | None = None, cap: int | None = None
-) -> ColoringResult:
-    """Color every vertex by its residue key mod p and scan every edge.
-
-    The scan verdict is part of the result: for SR the coloring is always
-    proper with the default prime (classes are independent); for CSR it can
-    fail, most visibly at small n, and the failure is reported rather than
-    raised.
-    """
-    if p is None:
-        p = default_prime(spec)
-    if not _is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    graph, keys, counts, first = _residue_scan(spec, p, cap)
-    violations = int(counts.sum())
-    return ColoringResult(
-        spec,
-        p,
-        dict(zip(graph.vertices, keys)),
-        proper=violations == 0,
-        violations=violations,
-        first_violation=first,
-        colors_used=len(set(keys)),
-    )

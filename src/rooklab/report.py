@@ -17,7 +17,6 @@ from .constructions import (
     default_prime,
     dominating_set_sr,
     max_clique_csr,
-    proper_coloring,
     residue_independent_family,
 )
 from .core import CSR, SR, GraphSpec, format_vertex
@@ -188,14 +187,15 @@ def build_report(
         report.records.append(QuantityRecord(name, kind, **sides))
         return report.records[-1]
 
-    classes = residue_independent_family(spec, cap=enum_cap)
+    # one residue partition: its classes bound alpha, its colouring chi
+    residues = residue_independent_family(spec, cap=enum_cap)
 
     alpha = quantity("alpha", "max")
     if spec.family == SR:
-        alpha.constructed = classes.best_size
+        alpha.constructed = residues.best_size
         alpha.construction = "largest residue class (independent for SR)"
     else:
-        verified = classes.best_verified()
+        verified = residues.best_verified()
         if verified is not None:
             alpha.constructed = len(verified[1])
             alpha.construction = "largest residue class passing the independence scan"
@@ -219,19 +219,18 @@ def build_report(
         omega.oracle = oracles.oracle_omega(spec)[0]
 
     # chi, with the residue coloring scan as a check record
-    coloring = proper_coloring(spec, cap=enum_cap)
     report.checks.append(
         CheckRecord(
             "residue-coloring",
             claimed=True,
-            passed=coloring.proper,
-            detail=f"p={coloring.p} proper={coloring.proper} violations={coloring.violations}"
-            + coloring.first_text(),
+            passed=residues.proper,
+            detail=f"p={residues.p} proper={residues.proper} violations={residues.violations}"
+            + residues.first_text(),
         )
     )
     chi = quantity("chi", "min")
-    if coloring.proper:
-        chi.constructed = coloring.p
+    if residues.proper:
+        chi.constructed = residues.p
         chi.construction = "residue coloring (scan passed)"
     if "chi" in oracle_names:
         chi.oracle = oracles.oracle_chi(spec)[0]

@@ -227,13 +227,11 @@ def test_coloring_sr32_proper():
 
 def test_coloring_csr45_scan():
     result = proper_coloring(csr_spec(4, 5), p=5)
-    # independent edge scan of the returned color map
+    # independent edge scan of the color map the returned classes define
     spec = csr_spec(4, 5)
+    colors = {v: t for t, cls in enumerate(result.classes) for v in cls}
     clashes = sum(
-        1
-        for v in result.colors
-        for w in neighbors(spec, v)
-        if v < w and result.colors[v] == result.colors[w]
+        1 for v in colors for w in neighbors(spec, v) if v < w and colors[v] == colors[w]
     )
     assert result.proper == (clashes == 0)
     assert result.violations == clashes

@@ -453,6 +453,22 @@ def test_cli_negative_flag_names_it(flag, value, shown, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,flag,shown",
+    [
+        ("analyze --family csr -m 3 -n 3 --eig-cap 0 --tol -1", "--tol", "-1.0"),
+        ("generate --family sr -m 3 -n 2 --mask-limit -3", "--mask-limit", "-3"),
+        ("aut -m 3 -n 3 --count-only --enum-cap -4", "--enum-cap", "-4"),
+        ("construct clique -m 3 -n 3 --enum-cap -4", "--enum-cap", "-4"),
+    ],
+)
+def test_cli_negative_flag_checked_when_unread(argv, flag, shown, capsys):
+    # the command never reads the flag, yet a negative value is still refused
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be 0 or more, got {shown}\n"
+
+
+@pytest.mark.parametrize(
     "name,shown",
     [
         ("ROOKLAB_ENUM_CAP", "-1"),
