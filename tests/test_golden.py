@@ -10,7 +10,9 @@ by its closed form; and the `aut --oracle` rows and the `--oracle all` rows
 on SR(4,5) and CSR(4,4) before the automorphism count and the colouring
 search were rewritten; and the `coloring --family sr -m 3 -n 4` and
 `independent-set` rows on SR(4,3) and CSR(3,2) before the residue colouring
-and the residue independent sets were made one result.  So any change in
+and the residue independent sets were made one result; and the
+`hamiltonian-cycle` rows on SR(3,12), SR(2,11) and SR(6,1) before the cycle
+was built, checked and written as one array.  So any change in
 what those commands print or write shows up here.  The distance queries are chosen so that several optimal
 blocks tie, which pins the witness tie-break.  Re-record only for an
 intended change of output, by running this file with GOLDEN_PRINT set to 1
@@ -210,6 +212,30 @@ GOLDEN = [
         "ec3165b7c2b173e1f9b2dce6c83721801173e8aa2315c664d673bc75b1db8f52",
         {
             "cycle.txt": "450208e73390a3d8a07ead83fa2210dbf2fdeb2495a030f4d7e4366cc0175a7e",
+        },
+    ),
+    (  # two-digit coordinates
+        "construct hamiltonian-cycle -m 3 -n 12 --out cycle.txt",
+        0,
+        "c325c0839e2e17b249231f78efa2f4fd2b6447f021e56b08f63ace7c2236d2c1",
+        {
+            "cycle.txt": "3b4a3593b2fe866948de0cd4c5a9f705d8c1e65a7edf0c427af8505d1f146da5",
+        },
+    ),
+    (  # m == 2: the complete graph K_{n+1}
+        "construct hamiltonian-cycle -m 2 -n 11 --out cycle.txt",
+        0,
+        "392c50ff32ffab6273e698543e5b758ebac1a6f339208325bbb829e362a80f8a",
+        {
+            "cycle.txt": "db9d5062773c1f230752d42e5d720c49bc8fac4160be64f0dbf44337092d76d9",
+        },
+    ),
+    (  # n == 1: the unit vectors, the complete graph K_m
+        "construct hamiltonian-cycle -m 6 -n 1 --out cycle.txt",
+        0,
+        "52313c771cc68067a93acb4b52c46c8ffb277bf47ab797202c1e53493384247b",
+        {
+            "cycle.txt": "1d590c5ecb907136c7f267e9f7ad815c1c691627f3c44808f90f6acbab615e6f",
         },
     ),
     (
