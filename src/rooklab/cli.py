@@ -160,12 +160,12 @@ def _cmd_independent_set(args) -> int:
     spec = _spec_from_args(args)
     family = constructions.residue_independent_family(spec, args.prime, args.enum_cap)
     print(f"residue-family family={spec.family} m={spec.m} n={spec.n} p={family.p}")
-    for t, (cls, ok) in enumerate(zip(family.classes, family.independent)):
-        print(f"class index={t} size={len(cls)} independent={'yes' if ok else 'no'}")
+    for t, ok in enumerate(family.independent):
+        print(f"class index={t} size={family.sizes.get(t, 0)} independent={'yes' if ok else 'no'}")
     print(f"best index={family.best_index} size={family.best_size}")
-    for v in family.classes[family.best_index]:
+    for v in family.members(family.best_index):
         print(f"vertex {format_vertex(v)}")
-    failures = family.independent.count(False)
+    failures = len(family.clashes)
     print(f"verdict proper-partition={'yes' if failures == 0 else 'no'} failing-classes={failures}")
     return _strict_exit(args, failures)
 
@@ -208,17 +208,17 @@ def _cmd_dominating_set(args) -> int:
 
 def _cmd_hamiltonian(args) -> int:
     cycle = constructions.hamiltonian_cycle_sr(args.m, args.n, cap=args.enum_cap)
-    verdict = oracles.verify_cycle(cycle.spec, list(cycle.vertices), cycle.anchor_edge)
+    verdict = oracles.verify_cycle(cycle.spec, cycle.coords, cycle.anchor_edge)
     print(
-        f"hamiltonian-cycle m={args.m} n={args.n} length={len(cycle.vertices)} "
+        f"hamiltonian-cycle m={args.m} n={args.n} length={cycle.length} "
         f"anchor={format_vertex(cycle.anchor_edge[0])};{format_vertex(cycle.anchor_edge[1])}"
     )
     print(f"verdict valid={'yes' if verdict.valid else 'no'}"
           + (f" reason={verdict.reason}" if verdict.reason else ""))
     if args.out:
+        line = ",".join(["%d"] * args.m) + "\n"
         with open(args.out, "w") as out:
-            for v in cycle.vertices:
-                out.write(format_vertex(v) + "\n")
+            out.write(line * cycle.length % tuple(cycle.coords.ravel().tolist()))
         print(f"wrote cycle path={args.out}")
     if not verdict.valid:
         return EXIT_DISCREPANCY if args.strict else EXIT_USAGE

@@ -7,8 +7,9 @@ and one scan counts the edges inside each class.  Cliques are checked for
 pairwise adjacency as they are built.  Guaranteed properties that fail their
 scan raise InternalConsistencyError; family-dependent ones return a verdict.
 The equal-pair dominating set is not verified here, only by the witness scan
-of `construct dominating-set`; the Hamiltonian cycle is checked by
-`oracles.verify_cycle`.
+of `construct dominating-set`.  The recursive Hamiltonian cycle is one
+read-only (N, m) array from construction to output, each slice a memoised
+sub-path array reversed, and is checked by `oracles.verify_cycle`.
 """
 
 from __future__ import annotations
@@ -82,30 +83,39 @@ class ResidueClassFamily:
     number of edges inside each class and the lexicographically least such
     edge.  A class with no inside edge is an independent set; the class
     index is a colour, proper when no class has an inside edge.
+
+    Only the non-empty classes are stored, so the cost follows |V|, not p;
+    `independent` lists all p classes for callers that print each one.
     """
 
     spec: GraphSpec
     p: int
-    classes: list[list[Vertex]]
-    counts: list[int]
+    vertices: tuple[Vertex, ...]
+    keys: np.ndarray  # class index of each vertex
+    sizes: dict[int, int]  # size of each non-empty class, by ascending index
+    clashes: dict[int, int]  # edges inside each class that has any
     first_violation: tuple[Vertex, Vertex] | None = None
+
+    def members(self, t: int) -> list[Vertex]:
+        """The vertices of class t in canonical order."""
+        return [self.vertices[i] for i in np.flatnonzero(self.keys == t).tolist()]
 
     @property
     def independent(self) -> list[bool]:
-        return [count == 0 for count in self.counts]
+        return [t not in self.clashes for t in range(self.p)]
 
     @property
     def violations(self) -> int:
         """Number of monochromatic edges."""
-        return sum(self.counts)
+        return sum(self.clashes.values())
 
     @property
     def proper(self) -> bool:
-        return self.violations == 0
+        return not self.clashes
 
     @property
     def colors_used(self) -> int:
-        return sum(1 for c in self.classes if c)
+        return len(self.sizes)
 
     def first_text(self) -> str:
         """' first=u;v' naming the least monochromatic edge, or ''."""
@@ -116,20 +126,21 @@ class ResidueClassFamily:
     @property
     def best_index(self) -> int:
         """Index of a largest class (smallest index on ties)."""
-        sizes = [len(c) for c in self.classes]
-        return sizes.index(max(sizes))
+        return max(self.sizes, key=self.sizes.get)
 
     @property
     def best_size(self) -> int:
-        return len(self.classes[self.best_index])
+        return self.sizes[self.best_index]
 
     def best_verified(self) -> tuple[int, list[Vertex]] | None:
-        """Largest class that passed the independence scan, or None."""
-        verified = [t for t, count in enumerate(self.counts) if count == 0]
-        if not verified:
-            return None
-        best = max(verified, key=lambda t: len(self.classes[t]))  # first of the largest
-        return best, self.classes[best]
+        """Largest class that passed the independence scan (smallest index on
+        ties), or None; an empty class passes when no other does."""
+        verified = {t: size for t, size in self.sizes.items() if t not in self.clashes}
+        if verified:
+            best = max(verified, key=verified.get)
+            return best, self.members(best)
+        empty = next((t for t in range(self.p) if t not in self.sizes), None)
+        return None if empty is None else (empty, [])
 
 
 def proper_coloring(
@@ -151,15 +162,19 @@ def proper_coloring(
     keys = graph.coords @ np.arange(1, spec.m + 1) % p
     src, dst = graph.edge_index()
     inside = keys[src] == keys[dst]
-    counts = np.bincount(keys[src[inside]], minlength=p).tolist()
     first = None
     if inside.any():
         at = int(np.argmax(inside))
         first = (graph.vertices[src[at]], graph.vertices[dst[at]])
-    classes: list[list[Vertex]] = [[] for _ in range(p)]
-    for v, key in zip(graph.vertices, keys.tolist()):
-        classes[key].append(v)
-    return ResidueClassFamily(spec, p, classes, counts, first)
+    return ResidueClassFamily(
+        spec, p, graph.vertices, keys, _tally(keys), _tally(keys[src[inside]]), first
+    )
+
+
+def _tally(values: np.ndarray) -> dict[int, int]:
+    """Occurrences of each distinct value, by ascending value."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return dict(zip(distinct.tolist(), counts.tolist()))
 
 
 def residue_independent_family(
@@ -178,7 +193,7 @@ def residue_independent_family(
         )
     family = proper_coloring(spec, p, cap)
     if spec.family == SR and not family.proper:
-        bad = family.independent.index(False)
+        bad = min(family.clashes)
         raise InternalConsistencyError(
             f"residue class {bad} of {spec.label()} contains an edge; "
             "this contradicts a guaranteed property of the SR family"
@@ -281,18 +296,27 @@ def conjectured_dominating_set_sr3(
 # -- Hamiltonian cycles for SR ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianCycle:
-    """A Hamiltonian cycle as an open vertex sequence (closure implied),
-    guaranteed to traverse the anchor edge (n,0,...,0)-(n-1,1,0,...,0)."""
+    """A Hamiltonian cycle as an open vertex sequence (closure implied), one
+    read-only (N, m) row per vertex, guaranteed to traverse the anchor edge
+    (n,0,...,0)-(n-1,1,0,...,0)."""
 
     m: int
     n: int
-    vertices: tuple[Vertex, ...]
+    coords: np.ndarray
 
     @property
     def spec(self) -> GraphSpec:
         return sr_spec(self.m, self.n)
+
+    @property
+    def length(self) -> int:
+        return len(self.coords)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(map(tuple, self.coords.tolist()))
 
     @property
     def anchor_edge(self) -> tuple[Vertex, Vertex]:
@@ -305,15 +329,7 @@ def anchor_edge(m: int, n: int) -> tuple[Vertex, Vertex]:
     return (n,) + (0,) * (m - 1), (n - 1, 1) + (0,) * (m - 2)
 
 
-def _unit(m: int, i: int) -> Vertex:
-    return tuple(1 if j == i else 0 for j in range(m))
-
-
-def _swap23(v: Vertex) -> Vertex:
-    return (v[0], v[2], v[1]) + v[3:]
-
-
-def _ham_path(m: int, k: int, memo: dict) -> list[Vertex]:
+def _ham_path(m: int, k: int, memo: dict) -> np.ndarray:
     """Hamiltonian path of SR(m, k) from (k,0,...,0) to (k-1,1,0,...,0).
 
     Exists for m == 2, k >= 1 (complete graph) and for all m >= 3, k >= 1.
@@ -322,20 +338,21 @@ def _ham_path(m: int, k: int, memo: dict) -> list[Vertex]:
     if key in memo:
         return memo[key]
     if m == 2:
-        path = [(k, 0)] + [(i, k - i) for i in range(k)]
+        first = np.r_[k, 0:k]
+        path = np.column_stack((first, k - first))
     elif k == 1:
-        path = [_unit(m, 0)] + [_unit(m, i) for i in range(m - 1, 0, -1)]
+        path = np.eye(m, dtype=np.int64)[np.r_[0, m - 1 : 0 : -1]]
     else:
         cycle = _ham_cycle(m, k, memo)
-        # the anchor edge sits at positions 0-1; cut it and walk the other way
-        path = [cycle[0]] + cycle[:0:-1]
+        # the anchor edge sits at rows 0-1; cut it and walk the other way
+        path = np.concatenate((cycle[:1], cycle[:0:-1]))
     memo[key] = path
     return path
 
 
-def _ham_cycle(m: int, n: int, memo: dict) -> list[Vertex]:
+def _ham_cycle(m: int, n: int, memo: dict) -> np.ndarray:
     """Hamiltonian cycle of SR(m, n) for m >= 3, n >= 2; the anchor edge is
-    the first consecutive pair of the returned sequence.
+    the first consecutive pair of the returned rows.
 
     Per slice of fixed first coordinate n-k the recursion lays down the
     sub-path for SR(m-1, k) reversed; consecutive slices join through the
@@ -343,11 +360,17 @@ def _ham_cycle(m: int, n: int, memo: dict) -> list[Vertex]:
     the chain, and a final swap of coordinates 2 and 3 moves the closing
     edge onto the anchor.
     """
-    raw: list[Vertex] = [(n,) + (0,) * (m - 1)]
+    cycle = np.zeros((math.comb(n + m - 1, m - 1), m), dtype=np.int64)
+    cycle[0, 0] = n
+    start = 1
     for k in range(1, n + 1):
         sub = _ham_path(m - 1, k, memo)
-        raw.extend((n - k,) + u for u in reversed(sub))
-    return [_swap23(v) for v in raw]
+        rows = slice(start, start + len(sub))
+        cycle[rows, 0] = n - k
+        cycle[rows, 1:] = sub[::-1]
+        start += len(sub)
+    cycle[:, [1, 2]] = cycle[:, [2, 1]]
+    return cycle
 
 
 def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> HamiltonianCycle:
@@ -365,12 +388,14 @@ def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> HamiltonianC
         raise ValueError("no Hamiltonian cycle: SR(2,1) is a single edge")
     check_enum_cap(sr_spec(m, n), cap)
     if m == 2:
-        cycle = [(n - i, i) for i in range(n + 1)]
+        first = np.arange(n, -1, -1)
+        cycle = np.column_stack((first, n - first))
     elif n == 1:
-        cycle = [_unit(m, i) for i in range(m)]
+        cycle = np.eye(m, dtype=np.int64)
     else:
         cycle = _ham_cycle(m, n, {})
-    return HamiltonianCycle(m, n, tuple(cycle))
+    cycle.flags.writeable = False
+    return HamiltonianCycle(m, n, cycle)
 
 
 # -- maximum cliques in CSR ------------------------------------------------------

@@ -9,6 +9,11 @@ per saturation level, so coloring a vertex moves its affected neighbors up a
 level with one mask operation per level), distances use plain BFS.  Vertex
 sets live in bitmasks (Python ints), so the practical limit is a few hundred
 vertices.
+
+The Hamiltonian-cycle checker reads adjacency only from its definition
+(two vertices differ in exactly two positions) and tests the whole
+(N, m) array at once: vertex conditions per row, repeats by sorting the
+rows, and the positions that differ between each row and the next.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .core import GraphSpec, Vertex, adjacent, check_cap, indexed_graph, neighbors, validate_vertex
+from .core import SR, GraphSpec, Vertex, check_cap, indexed_graph, neighbors, validate_vertex
 
 
 def _bit_graph(spec: GraphSpec, cap: int | None = None) -> tuple[list[Vertex], list[int]]:
@@ -310,36 +315,77 @@ class CycleVerdict:
 
 def verify_cycle(
     spec: GraphSpec,
-    cycle: list[tuple[int, ...]],
+    cycle: list[tuple[int, ...]] | np.ndarray,
     required_edge: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> CycleVerdict:
-    """Check a vertex sequence as a Hamiltonian cycle of spec.
+    """Check a vertex sequence, a list of tuples or an (N, m) integer array,
+    as a Hamiltonian cycle of spec.
 
     Valid iff: every entry is a vertex, each graph vertex appears exactly
-    once, consecutive entries (including the wrap pair) are adjacent, and
-    the required edge (if given) appears as a consecutive pair.
+    once, consecutive entries (including the wrap pair) differ in exactly
+    two positions, and the required edge (if given) appears as a
+    consecutive pair.  Each test runs on the whole array at once; the
+    verdict names the first failing position, as a scan would.
     """
     if len(cycle) < 3:
         return CycleVerdict(False, f"cycle has {len(cycle)} vertices, needs at least 3")
-    seq = []
-    for pos, v in enumerate(cycle):
-        try:
-            seq.append(validate_vertex(spec, v))
-        except ValueError as exc:
-            return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
-    if len(set(seq)) != len(seq):
+    rows = _cycle_rows(spec, cycle)
+    if isinstance(rows, CycleVerdict):
+        return rows
+    ordered = rows[np.lexsort(rows.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         return CycleVerdict(False, "duplicate vertex")
-    if len(seq) != spec.vertex_count:
+    if len(rows) != spec.vertex_count:
         return CycleVerdict(
-            False, f"cycle covers {len(seq)} of {spec.vertex_count} vertices"
+            False, f"cycle covers {len(rows)} of {spec.vertex_count} vertices"
         )
-    for i, v in enumerate(seq):
-        w = seq[(i + 1) % len(seq)]
-        if not adjacent(spec, v, w):
-            return CycleVerdict(False, f"consecutive vertices not adjacent at position {i}")
+    steps = (rows != np.roll(rows, -1, axis=0)).sum(axis=1)
+    if (steps != 2).any():
+        at = int(np.argmax(steps != 2))
+        return CycleVerdict(False, f"consecutive vertices not adjacent at position {at}")
     if required_edge is not None:
-        a, b = (tuple(required_edge[0]), tuple(required_edge[1]))
-        pairs = {(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))}
-        if (a, b) not in pairs and (b, a) not in pairs:
+        a, b = (_row_of(rows, v) for v in required_edge)
+        if a < 0 or b < 0 or (b - a) % len(rows) not in (1, len(rows) - 1):
             return CycleVerdict(False, "required edge missing from cycle")
     return CycleVerdict(True, None)
+
+
+def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | CycleVerdict:
+    """The entries as an (N, m) int64 array, or the verdict naming the first
+    entry that is not a vertex, with `validate_vertex`'s reason.  Entries
+    that do not form an integer array (ragged, non-integer) are checked one
+    by one."""
+    try:
+        rows = np.asarray(cycle)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.dtype.kind not in "biu" or rows.shape[1:] != (spec.m,):
+        seq = []
+        for pos, v in enumerate(cycle):
+            try:
+                seq.append(validate_vertex(spec, v))
+            except (TypeError, ValueError) as exc:
+                return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
+        return np.array(seq, dtype=np.int64)
+    rows = rows.astype(np.int64, copy=False)
+    n = spec.n
+    if spec.family == SR:  # coordinates within 0..n keep the row sums exact
+        bad = ((rows < 0) | (rows > n)).any(axis=1) | (rows.sum(axis=1) != n)
+    else:
+        bad = ((rows < 0) | (rows >= n)).any(axis=1) | (rows.sum(axis=1) % n != 0)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        try:  # the first flagged entry raises with the reason a scan gives
+            validate_vertex(spec, cycle[pos])
+        except ValueError as exc:
+            return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
+    return rows
+
+
+def _row_of(rows: np.ndarray, v: tuple[int, ...]) -> int:
+    """Index of the row equal to v, or -1."""
+    v = tuple(v)
+    if len(v) != rows.shape[1]:
+        return -1
+    hit = np.flatnonzero((rows == v).all(axis=1))
+    return int(hit[0]) if len(hit) else -1

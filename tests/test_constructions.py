@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rooklab.constructions import (
@@ -31,7 +32,7 @@ def test_smallest_prime_at_least():
 
 def test_residue_classes_sr32():
     fam = residue_independent_family(sr_spec(3, 2), p=3)
-    assert fam.classes == [
+    assert [fam.members(t) for t in range(fam.p)] == [
         [(0, 0, 2), (1, 1, 0)],
         [(0, 2, 0), (1, 0, 1)],
         [(0, 1, 1), (2, 0, 0)],
@@ -45,7 +46,7 @@ def test_residue_classes_partition_and_scan_sr():
         for n in range(0, 5):
             spec = sr_spec(m, n)
             fam = residue_independent_family(spec)
-            assert sum(len(c) for c in fam.classes) == spec.vertex_count
+            assert sum(fam.sizes.values()) == spec.vertex_count
             assert all(fam.independent)
             # pigeonhole: largest class carries at least the average
             assert fam.best_size >= -(-spec.vertex_count // fam.p)
@@ -166,6 +167,51 @@ def test_hamiltonian_sweep(m, n):
     assert verdict.valid, (m, n, verdict.reason)
 
 
+def _unit(m, i):
+    return tuple(1 if j == i else 0 for j in range(m))
+
+
+def _tuple_path(m, k, memo):
+    if (m, k) not in memo:
+        if m == 2:
+            memo[m, k] = [(k, 0)] + [(i, k - i) for i in range(k)]
+        elif k == 1:
+            memo[m, k] = [_unit(m, 0)] + [_unit(m, i) for i in range(m - 1, 0, -1)]
+        else:
+            cycle = _tuple_cycle(m, k, memo)
+            memo[m, k] = [cycle[0]] + cycle[:0:-1]
+    return memo[m, k]
+
+
+def _tuple_cycle(m, n, memo):
+    raw = [(n,) + (0,) * (m - 1)]
+    for k in range(1, n + 1):
+        raw.extend((n - k,) + u for u in reversed(_tuple_path(m - 1, k, memo)))
+    return [(v[0], v[2], v[1]) + v[3:] for v in raw]
+
+
+def tuple_hamiltonian_cycle(m, n):
+    """The recursion as it was before the cycle became one array: tuples
+    concatenated per slice and every row copied again for the swap of
+    coordinates 2 and 3.  Kept as the reference for the array builder."""
+    if m == 2:
+        return [(n - i, i) for i in range(n + 1)]
+    if n == 1:
+        return [_unit(m, i) for i in range(m)]
+    return _tuple_cycle(m, n, {})
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(2, 7) for n in range(1, 9) if (m, n) != (2, 1)]
+)
+def test_hamiltonian_array_matches_tuple_reference(m, n):
+    cycle = hamiltonian_cycle_sr(m, n)
+    assert cycle.coords.dtype == np.int64 and not cycle.coords.flags.writeable
+    assert cycle.coords.tolist() == [list(v) for v in tuple_hamiltonian_cycle(m, n)]
+    assert cycle.vertices == tuple(tuple_hamiltonian_cycle(m, n))
+    assert cycle.length == cycle.spec.vertex_count
+
+
 @pytest.mark.parametrize("m,n,msg", [(2, 1, "single edge"), (1, 5, "single vertex"), (3, 0, "single vertex")])
 def test_hamiltonian_excluded(m, n, msg):
     with pytest.raises(ValueError, match=msg):
@@ -229,7 +275,7 @@ def test_coloring_csr45_scan():
     result = proper_coloring(csr_spec(4, 5), p=5)
     # independent edge scan of the color map the returned classes define
     spec = csr_spec(4, 5)
-    colors = {v: t for t, cls in enumerate(result.classes) for v in cls}
+    colors = {v: t for t in range(result.p) for v in result.members(t)}
     clashes = sum(
         1 for v in colors for w in neighbors(spec, v) if v < w and colors[v] == colors[w]
     )

@@ -121,5 +121,6 @@ def test_residue_scan_matches_pairwise_reference(spec):
         assert coloring.colors_used == sum(1 for c in classes if c), p
         if p >= least:
             family = residue_independent_family(spec, p)
-            assert family.classes == classes
+            assert [family.members(t) for t in range(p)] == classes
+            assert family.sizes == {t: len(c) for t, c in enumerate(classes) if c}
             assert family.independent == independent

@@ -3,11 +3,21 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from rooklab.core import adjacent, csr_spec, enumerate_vertices, neighbors, sr_spec
+from rooklab.constructions import hamiltonian_cycle_sr
+from rooklab.core import (
+    adjacent,
+    csr_spec,
+    enumerate_vertices,
+    neighbors,
+    sr_spec,
+    validate_vertex,
+)
 from rooklab.errors import CapExceededError
 from rooklab.oracles import (
+    CycleVerdict,
     _bit_graph,
     _bits,
     _k_coloring,
@@ -156,6 +166,126 @@ def test_verify_cycle_requires_edge():
     assert verify_cycle(spec, cycle, ((0, 2), (2, 0))).valid
     ok = verify_cycle(spec, cycle)
     assert ok.valid and ok.reason is None
+
+
+def scan_verify_cycle(spec, cycle, required_edge=None):
+    """The cycle checker as it was before it checked the whole array at
+    once: one `validate_vertex` and one `adjacent` call per entry, a set of
+    entries and a set of consecutive pairs.  Kept as the reference."""
+    if len(cycle) < 3:
+        return CycleVerdict(False, f"cycle has {len(cycle)} vertices, needs at least 3")
+    seq = []
+    for pos, v in enumerate(cycle):
+        try:
+            seq.append(validate_vertex(spec, v))
+        except ValueError as exc:
+            return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
+    if len(set(seq)) != len(seq):
+        return CycleVerdict(False, "duplicate vertex")
+    if len(seq) != spec.vertex_count:
+        return CycleVerdict(
+            False, f"cycle covers {len(seq)} of {spec.vertex_count} vertices"
+        )
+    for i, v in enumerate(seq):
+        w = seq[(i + 1) % len(seq)]
+        if not adjacent(spec, v, w):
+            return CycleVerdict(False, f"consecutive vertices not adjacent at position {i}")
+    if required_edge is not None:
+        a, b = (tuple(required_edge[0]), tuple(required_edge[1]))
+        pairs = {(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))}
+        if (a, b) not in pairs and (b, a) not in pairs:
+            return CycleVerdict(False, "required edge missing from cycle")
+    return CycleVerdict(True, None)
+
+
+def _dfs_cycle(spec):
+    """A Hamiltonian cycle found by plain backtracking (tiny graphs only)."""
+    verts = enumerate_vertices(spec)
+    path, seen = [verts[0]], {verts[0]}
+
+    def extend():
+        if len(path) == len(verts):
+            return adjacent(spec, path[-1], path[0])
+        for w in neighbors(spec, path[-1]):
+            if w not in seen:
+                path.append(w)
+                seen.add(w)
+                if extend():
+                    return True
+                seen.discard(path.pop())
+        return False
+
+    assert extend()
+    return path
+
+
+def _mutations(spec, cycle, rng):
+    """(name, entries, required edge) for the valid cycle and each way of
+    breaking it, at seeded positions."""
+    edge = (cycle[0], cycle[1])
+    i, j = sorted(rng.sample(range(len(cycle)), 2))
+    v = list(cycle[i])
+    swapped = list(cycle)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    top = spec.n if spec.family == "SR" else spec.n - 1
+    negative = [-1, v[1] + v[0] + 1] + v[2:]
+    out_of_range = [top + 1, v[1] - (top + 1 - v[0])] + v[2:]
+    wrong_sum = [v[0] + 1] + v[1:]
+    cases = [
+        ("valid", cycle, edge),
+        ("valid-no-edge", cycle, None),
+        ("valid-reversed-edge", cycle, edge[::-1]),
+        ("valid-edge-on-wrap", cycle[1:] + cycle[:1], edge),
+        ("last-two-swapped", cycle[:-2] + cycle[:-3:-1], edge),
+        ("swapped", swapped, edge),
+        ("duplicated", cycle[:j] + [cycle[i]] + cycle[j + 1 :], edge),
+        ("duplicate-inserted", cycle[:j] + [cycle[i]] + cycle[j:], edge),
+        ("dropped", cycle[:i] + cycle[i + 1 :], edge),
+        ("dropped-last", cycle[:-1], edge),
+        ("negative", cycle[:i] + [tuple(negative)] + cycle[i + 1 :], edge),
+        ("out-of-range", cycle[:i] + [tuple(out_of_range)] + cycle[i + 1 :], edge),
+        ("wrong-sum", cycle[:i] + [tuple(wrong_sum)] + cycle[i + 1 :], edge),
+        ("short-entry", cycle[:i] + [tuple(v[:-1])] + cycle[i + 1 :], edge),
+        ("long-entry", cycle[:i] + [tuple(v + [0])] + cycle[i + 1 :], edge),
+        ("all-long", [u + (0,) for u in cycle], edge),
+        ("missing-edge", cycle, (cycle[0], cycle[2])),
+        ("edge-not-a-vertex", cycle, (cycle[0], tuple(wrong_sum))),
+        ("edge-wrong-length", cycle, (cycle[0], tuple(v[:-1]))),
+        ("too-short", cycle[:2], edge),
+    ]
+    return cases
+
+
+CYCLE_SPECS = [sr_spec(2, 5), sr_spec(3, 2), sr_spec(3, 4), sr_spec(4, 3), sr_spec(5, 2), csr_spec(3, 3)]
+
+
+@pytest.mark.parametrize("spec", CYCLE_SPECS, ids=[s.label() for s in CYCLE_SPECS])
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_cycle_matches_scan_reference(spec, seed):
+    if spec.family == "SR":
+        cycle = list(hamiltonian_cycle_sr(spec.m, spec.n).vertices)
+    else:
+        cycle = _dfs_cycle(spec)
+    for name, entries, edge in _mutations(spec, cycle, random.Random(seed)):
+        expected = scan_verify_cycle(spec, entries, edge)
+        assert verify_cycle(spec, entries, edge) == expected, name
+        if len({len(u) for u in entries}) == 1:  # not ragged: also as one array
+            assert verify_cycle(spec, np.array(entries), edge) == expected, name
+        if name.startswith("valid"):
+            assert expected.valid, name
+        elif "swapped" not in name:  # a swap can leave a Hamiltonian cycle, as in K_6
+            assert not expected.valid, name
+
+
+def test_verify_cycle_names_bad_entries_without_raising():
+    spec = sr_spec(3, 2)
+    cycle = list(hamiltonian_cycle_sr(3, 2).vertices)
+    verdict = verify_cycle(spec, cycle[:3] + [(1, 1)] + cycle[4:])
+    assert verdict == CycleVerdict(
+        False, "invalid vertex at position 3: vertex has 2 coordinates, spec SR(3,2) needs 3"
+    )
+    scalar = verify_cycle(spec, cycle[:2] + [7] + cycle[3:])
+    assert not scalar.valid and scalar.reason.startswith("invalid vertex at position 2: ")
 
 
 def test_search_caps():

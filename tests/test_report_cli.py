@@ -1,6 +1,7 @@
 """The analyze report builder and the command-line surface end to end."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,41 @@ def test_cli_construct_coloring_strict(capsys):
     )
     assert code == 3
     assert "proper=no" in out
+
+
+def test_cli_construct_coloring_large_prime_costs_vertices_not_p(capsys):
+    # 6 vertices and p = 1000003: the colouring stores its 5 non-empty
+    # classes, not p class lists and a length-p count
+    argv = "construct coloring --family sr -m 3 -n 2 --prime 1000003".split()
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == (
+        "coloring family=SR m=3 n=2 p=1000003 colors-used=5\n"
+        "verdict proper=yes violations=0\n"
+    )
+    assert peak < 4_000_000
+
+
+def test_cli_construct_independent_set_prints_every_class(capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "independent-set", "--family", "sr", "-m", "3", "-n", "2",
+        "--prime", "13",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    sizes = [1 if t in (2, 3, 5, 6) else 2 if t == 4 else 0 for t in range(13)]
+    assert lines[1:14] == [f"class index={t} size={s} independent=yes" for t, s in enumerate(sizes)]
+    assert lines[14:] == [
+        "best index=4 size=2",
+        "vertex 0,2,0",
+        "vertex 1,0,1",
+        "verdict proper-partition=yes failing-classes=0",
+    ]
 
 
 def test_cli_construct_independent_set(capsys):
