@@ -15,6 +15,7 @@ human-facing partition blocks are numbered from 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,6 +55,7 @@ def _format_blocks(blocks) -> str:
     return ",".join("{" + ",".join(str(i + 1) for i in block) + "}" for block in blocks)
 
 
+@functools.cache  # built on the first call to main, not at import
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--enum-cap", type=int, default=None, help="vertex enumeration cap")

@@ -38,7 +38,7 @@ from .errors import InternalConsistencyError
 
 
 def smallest_prime_at_least(k: int) -> int:
-    """Least prime >= k, by trial division."""
+    """Least prime >= k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     candidate = max(k, 2)
@@ -47,8 +47,36 @@ def smallest_prime_at_least(k: int) -> int:
     return candidate
 
 
+# Miller-Rabin with these bases is exact below 318665857834031151167461, about
+# 3.2 * 10^23, the least strong pseudoprime to all of them (OEIS A014233); far
+# above PRIME_LIMIT
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# residue keys are int64, so a prime must stay below 2^63
+PRIME_LIMIT = 1 << 63
+
+
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin test, in O(log p) multiplications."""
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _reliable_size(spec: GraphSpec) -> int:
@@ -156,6 +184,8 @@ def proper_coloring(
     """
     if p is None:
         p = default_prime(spec)
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"--prime must be below 2^63, got {p}")
     if not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
     graph = indexed_graph(spec, cap)

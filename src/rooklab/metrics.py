@@ -104,18 +104,45 @@ def zero_partition_number(
     blocks: list[tuple[int, ...]] = []
     rest = (1 << m) - 1
     while rest:
-        low = rest & -rest
-        others = rest ^ low
-        target = dp[rest] - 1
-        # submasks of `others` in ascending order, so the first hit is the
-        # smallest block; the recurrence guarantees a hit
-        sub = 0
-        while not (zero[sub | low] and dp[others ^ sub] == target):
-            sub = (sub - others) & others
-        block = sub | low
+        block = _smallest_block(zero, dp, rest)
         blocks.append(tuple(i for i in range(m) if block >> i & 1))
         rest ^= block
     return int(dp[-1]), ZeroPartition(tuple(blocks), n)
+
+
+# candidate blocks tested one by one before the search turns to numpy; about
+# where one Python test per candidate costs as much as one array pass
+_SCALAR_TRIES = 256
+
+
+def _smallest_block(zero: np.ndarray, dp: np.ndarray, rest: int) -> int:
+    """The numerically smallest block mask that holds the lowest index of
+    `rest`, sums to 0 mod n and leaves dp[rest - block] = dp[rest] - 1; the
+    recurrence guarantees one.
+
+    Candidates low | sub run over the submasks sub of the other indices in
+    ascending order.  Most blocks are among the first few, so those are
+    tested one by one.  Past them, the submasks are built by doubling over
+    the set bits from the lowest, and each new half, which lies above every
+    earlier submask, is tested as one array: a block that needs all
+    2^(|rest| - 1) candidates costs a few array passes, not a Python loop.
+    """
+    low = rest & -rest
+    others = rest ^ low
+    target = dp[rest] - 1
+    sub = 0
+    for _ in range(_SCALAR_TRIES):
+        if zero[sub | low] and dp[others ^ sub] == target:
+            return sub | low
+        sub = (sub - others) & others
+    subs = fresh = np.zeros(1, dtype=np.min_scalar_type(rest))
+    left = others
+    while not (hits := zero[fresh | low] & (dp[others ^ fresh] == target)).any():
+        bit = left & -left
+        left ^= bit
+        fresh = subs | bit
+        subs = np.concatenate((subs, fresh))
+    return int(fresh[np.argmax(hits)]) | low
 
 
 def csr_distance_witness(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from rooklab.constructions import (
+    PRIME_LIMIT,
+    _is_prime,
     anchor_edge,
     conjectured_dominating_set_sr3,
     dominating_set_sr,
@@ -25,6 +27,37 @@ def test_smallest_prime_at_least():
     assert smallest_prime_at_least(3) == 3
     assert smallest_prime_at_least(6) == 7
     assert smallest_prime_at_least(90) == 97
+
+
+def trial_division_is_prime(p):
+    """Reference: the trial-division test the Miller-Rabin test replaced."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(10**5) if _is_prime(p)] == [
+        p for p in range(10**5) if trial_division_is_prime(p)
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,prime",
+    [
+        (2**31 - 1, True),
+        (1_000_000_007, True),
+        (9_999_999_999_999_937, True),
+        (2**61 - 1, True),
+        (PRIME_LIMIT - 25, True),  # the largest prime below 2^63
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (3_215_031_751, False),  # also a strong pseudoprime to bases 2, 3, 5 and 7
+        (3_825_123_056_546_413_051, False),  # strong pseudoprime to every prime base <= 31
+        ((2**31 - 1) * (2**61 - 1), False),
+        (PRIME_LIMIT - 1, False),
+    ],
+)
+def test_is_prime_large(p, prime):
+    assert _is_prime(p) is prime
 
 
 # -- residue classes -------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rooklab import metrics
 from rooklab.core import csr_spec, enumerate_vertices, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.metrics import (
@@ -82,6 +83,41 @@ def submask_zero_partition(b, n):
     return best[full], tuple(blocks)
 
 
+def walk_zero_partition(b, n):
+    """Reference: the O(2^m * m) layer DP with a witness search that walks
+    the candidate submasks one by one in Python."""
+    m = len(b)
+    b = tuple(x % n for x in b)
+    sums = np.zeros(1 << m, dtype=object)
+    for i, x in enumerate(b):
+        sums[1 << i : 2 << i] = (sums[: 1 << i] + x) % n
+    zero = (sums == 0).astype(np.uint8)
+    popcount = np.zeros(1 << m, dtype=np.uint8)
+    for i in range(m):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+    dp = np.zeros(1 << m, dtype=np.uint8)
+    for k in range(1, m + 1):
+        layer = np.flatnonzero(popcount == k)
+        best = dp[layer ^ 1]
+        for i in range(1, m):
+            np.maximum(best, dp[layer ^ (1 << i)], out=best)
+        dp[layer] = best + zero[layer]
+
+    blocks = []
+    rest = (1 << m) - 1
+    while rest:
+        low = rest & -rest
+        others = rest ^ low
+        target = dp[rest] - 1
+        sub = 0
+        while not (zero[sub | low] and dp[others ^ sub] == target):
+            sub = (sub - others) & others
+        block = sub | low
+        blocks.append(tuple(i for i in range(m) if block >> i & 1))
+        rest ^= block
+    return int(dp[-1]), tuple(blocks)
+
+
 def _random_csr_vertex(rng, m, n):
     coords = [rng.randrange(n) for _ in range(m - 1)]
     coords.append((-sum(coords)) % n)
@@ -96,6 +132,28 @@ def test_zero_partition_matches_submask_oracle():
         b = _random_csr_vertex(rng, m, n)
         count, witness = zero_partition_number(b, n)
         assert (count, witness.blocks) == submask_zero_partition(b, n), (b, n)
+
+
+@pytest.mark.parametrize("scalar_tries", [0, 3, metrics._SCALAR_TRIES])
+def test_zero_partition_witness_matches_walk(scalar_tries, monkeypatch):
+    # with few scalar tries most blocks come from the array search
+    monkeypatch.setattr(metrics, "_SCALAR_TRIES", scalar_tries)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        m, n = rng.randint(1, 13), rng.choice([2, 3, 5, 12, 40, 1000])
+        b = _random_csr_vertex(rng, m, n)
+        count, witness = zero_partition_number(b, n)
+        assert (count, witness.blocks) == walk_zero_partition(b, n), (b, n)
+
+
+@pytest.mark.parametrize("m", range(2, 19))
+def test_zero_partition_single_block_matches_walk(m):
+    # the whole index set is the only zero-sum block: the walk visits all
+    # 2^(m-1) candidates
+    n = 1000
+    b = (1,) * (m - 1) + (n - m + 1,)
+    count, witness = zero_partition_number(b, n)
+    assert (count, witness.blocks) == walk_zero_partition(b, n) == (1, (tuple(range(m)),))
 
 
 def test_zero_partition_huge_modulus():

@@ -1,12 +1,17 @@
 """The analyze report builder and the command-line surface end to end."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rooklab import report, spectral
+import rooklab
+from rooklab import cli, report, spectral
 from rooklab.cli import main
 from rooklab.core import _indexed_graph, csr_spec, sr_spec
 from rooklab.metrics import csr_diameter
@@ -221,6 +226,21 @@ def test_cli_analyze_strict_discrepancy_exit(capsys):
     assert "proper=False" in out
 
 
+# Known discrepancies: the table claims chi(CSR(m,n)) <= p, the least prime
+# >= max(m, n), but the proof covers only p = n.  Each row stays reported.
+@pytest.mark.parametrize(
+    "m,n,chi,p", [(3, 2, 4, 3), (3, 4, 6, 5), (3, 6, 8, 7), (4, 3, 7, 5), (4, 4, 7, 5), (5, 2, 8, 5)]
+)
+def test_cli_analyze_reports_chi_above_prime_bound(m, n, chi, p, capsys):
+    code, out, _ = run_cli(
+        capsys, "analyze", "--family", "csr", "-m", str(m), "-n", str(n), "--oracle", "chi"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert f"problem quantity=chi detail=oracle {chi} above upper bound {p}" in lines
+    assert lines[-1] == "summary discrepancy=yes"
+
+
 def test_cli_analyze_json(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -340,10 +360,38 @@ def test_cli_construct_independent_set(capsys):
             "error: p=4 is not prime\n",
         ),
         ("construct coloring --family csr -m 3 -n 3 --prime 4", "error: p=4 is not prime\n"),
+        # int64 residue keys bound the prime
+        (
+            "construct coloring --family csr -m 3 -n 3 --prime 9223372036854775837",
+            "error: --prime must be below 2^63, got 9223372036854775837\n",
+        ),
+        (
+            "construct independent-set --family sr -m 3 -n 2 --prime 9223372036854775808",
+            "error: --prime must be below 2^63, got 9223372036854775808\n",
+        ),
     ],
 )
 def test_cli_construct_rejects_prime(argv, err, capsys):
     assert run_cli(capsys, *argv.split()) == (1, "", err)
+
+
+@pytest.mark.parametrize(
+    "family,m,n,prime,colors",
+    [
+        ("sr", 3, 2, 9999999999999937, 5),  # trial division took seconds here
+        ("csr", 3, 3, 9223372036854775783, 7),  # the largest prime below 2^63
+    ],
+)
+def test_cli_construct_coloring_large_prime_is_fast(family, m, n, prime, colors, capsys):
+    argv = f"construct coloring --family {family} -m {m} -n {n} --prime {prime}".split()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == (
+        f"coloring family={family.upper()} m={m} n={n} p={prime} colors-used={colors}\n"
+        "verdict proper=yes violations=0\n"
+    )
 
 
 def test_cli_construct_dominating_set(capsys):
@@ -577,3 +625,47 @@ def test_cli_bad_family_exits_1(command, family, extra, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: rooklab {command} ")
     assert f"rooklab {command}: error: argument --family: invalid choice: 'xyz'" in err
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def _first_call_in_fresh_process(argv):
+    """(exit code, stdout, stderr) of argv as the first call in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(rooklab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rooklab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    instance = tmp_path / "inst.txt"
+    instance.write_text("2 10\n4 4 3 3 3 3\n")
+    monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the terminal width
+    monkeypatch.delenv("ROOKLAB_MASK_LIMIT", raising=False)
+    distance = "distance -m 4 -n 3 --from 0,1,2,0 --to 2,2,1,1"
+    steps = [
+        (distance, 0, None),
+        ("generate --family xx -m 3 -n 2", 1, None),
+        ("analyze --family csr -m 3 -n 2 --oracle all --strict", 3, None),
+        (distance, 2, "3"),  # a variable set between calls is read by this call
+        (f"reduce-3partition --instance {instance}", 0, None),
+        (distance, 0, None),
+        ("distance --help", 0, None),
+    ]
+    for text, expected_code, mask_limit in steps:
+        if mask_limit is None:
+            monkeypatch.delenv("ROOKLAB_MASK_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("ROOKLAB_MASK_LIMIT", mask_limit)
+        argv = text.split()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors and --help
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == expected_code, text
+        assert (code, captured.out, captured.err) == _first_call_in_fresh_process(argv), text
