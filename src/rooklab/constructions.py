@@ -57,7 +57,8 @@ PRIME_LIMIT = 1 << 63
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin test, in O(log p) multiplications."""
+    """Miller-Rabin over _WITNESSES, in O(log p) multiplications; exact for
+    every p below 3.18 * 10^23."""
     if p < 2:
         return False
     for a in _WITNESSES:

@@ -378,7 +378,7 @@ def test_cli_construct_rejects_prime(argv, err, capsys):
 @pytest.mark.parametrize(
     "family,m,n,prime,colors",
     [
-        ("sr", 3, 2, 9999999999999937, 5),  # trial division took seconds here
+        ("sr", 3, 2, 9999999999999937, 5),  # seconds by trial division
         ("csr", 3, 3, 9223372036854775783, 7),  # the largest prime below 2^63
     ],
 )
