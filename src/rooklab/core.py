@@ -259,6 +259,13 @@ class IndexedGraph:
         targets.flags.writeable = False
         return targets
 
+    @functools.cached_property
+    def adjacency_bits(self) -> tuple[int, ...]:
+        """One Python-int bitmask per vertex: bit j of entry i is set iff
+        vertex j is a neighbour of vertex i.  Built on first use, so the
+        exact searches of one analysis share one build."""
+        return tuple(sum(1 << j for j in row) for row in self.targets.tolist())
+
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as index arrays (u < v), sorted by (u, v)."""
         upper = self.targets > np.arange(len(self.vertices))[:, None]

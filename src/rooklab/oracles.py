@@ -1,14 +1,28 @@
-"""Brute-force ground truth: exact alpha, gamma, omega, chi, BFS distances,
-and the Hamiltonian-cycle checker.
+"""Brute-force ground truth: exact alpha, gamma, omega, chi, all-pairs BFS
+distances, and the Hamiltonian-cycle checker.
 
 Everything here is deliberately independent of the closed-form constructions
 it certifies: max clique / independent set use a coloring-bound branch and
 bound, domination uses iterative-deepening set cover, coloring uses
-saturation-ordered backtracking (the uncolored vertices kept in one bitmask
-per saturation level, so coloring a vertex moves its affected neighbors up a
-level with one mask operation per level), distances use plain BFS.  Vertex
-sets live in bitmasks (Python ints), so the practical limit is a few hundred
-vertices.
+saturation-ordered backtracking, distances use plain BFS.  Vertex sets live
+in bitmasks (Python ints), so the practical limit is a few hundred vertices.
+
+The set cover prunes a node by its count bound: the `budget` largest
+covers (how many uncovered vertices an available vertex's closed
+neighborhood holds) must reach the number uncovered.  A node with budget 3
+or more counts every vertex and hands the counts down as upper bounds.  A
+node with budget 2 counts in order of those bounds and stops once the
+bounds left cannot change the verdict.  A node with budget 1 intersects the
+closed neighborhoods of the uncovered vertices, since one vertex must lie
+in all of them.  Each decides exactly as counting every vertex would, so
+the tree, its node count and the cover found stay the same.
+
+The coloring keeps the uncolored vertices in one bitmask per saturation
+level (distinct neighbor colors), so coloring a vertex moves its affected
+neighbors up a level with one mask operation per level.  A vertex at level
+k would see all k colors and have none left, so a color move that would
+lift a neighbor from level k - 1 is skipped before it is made: the child it
+would open could only fail, and the color arrays found stay the same.
 
 The Hamiltonian-cycle checker reads adjacency only from its definition
 (two vertices differ in exactly two positions) and tests the whole
@@ -18,21 +32,19 @@ rows, and the positions that differ between each row and the next.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .core import SR, GraphSpec, Vertex, check_cap, indexed_graph, neighbors, validate_vertex
+from .core import SR, GraphSpec, Vertex, check_cap, indexed_graph, validate_vertex
 
 
-def _bit_graph(spec: GraphSpec, cap: int | None = None) -> tuple[list[Vertex], list[int]]:
+def _bit_graph(spec: GraphSpec, cap: int | None = None) -> tuple[list[Vertex], tuple[int, ...]]:
     """Canonical vertex list plus one adjacency bitmask per vertex."""
     check_cap(spec, config.search_cap(cap), "search")
     graph = indexed_graph(spec)
-    return list(graph.vertices), [sum(1 << j for j in row) for row in graph.targets.tolist()]
+    return list(graph.vertices), graph.adjacency_bits
 
 
 def _bits(mask: int):
@@ -129,39 +141,99 @@ def _greedy_cover(closed: list[int], nv: int) -> list[int]:
     return chosen
 
 
-def _cover_search(unc: int, budget: int, available: int, closed: list[int], nv: int):
-    """Find <= budget available vertices whose closed neighborhoods cover unc."""
+def _cover_search(
+    unc: int,
+    budget: int,
+    available: int,
+    bounds: list[int],
+    ranked: list[int],
+    closed: list[int],
+    nv: int,
+):
+    """Find <= budget available vertices whose closed neighborhoods cover unc.
+    bounds[v] >= |closed[v] & unc| for every available v, and `ranked` lists
+    the vertices by non-increasing bound; only a node with budget 2 reads
+    them, and a node with budget 3 or more makes them exact for its
+    children."""
     if unc == 0:
         return []
     if budget == 0:
         return None
-    # prefix-sum bound: even the `budget` largest covers cannot reach unc
-    covers = heapq.nlargest(
-        budget, ((closed[v] & unc).bit_count() for v in _bits(available))
-    )
-    if sum(covers) < unc.bit_count():
-        return None
+    # count bound: even the `budget` largest covers cannot reach unc
+    need = unc.bit_count()
+    if budget == 1:
+        # a vertex covers unc iff it lies in each closed neighborhood of
+        # unc; the two ends of unc seldom share many, so they go first
+        cands = available & closed[(unc & -unc).bit_length() - 1] & closed[unc.bit_length() - 1]
+        rest = unc
+        while rest and cands:
+            low = rest & -rest
+            rest ^= low
+            cands &= closed[low.bit_length() - 1]
+        if not cands:
+            return None
+    elif budget == 2:
+        # count in bound order; stop once `bound`, taken for every vertex
+        # left, could not lift the top two counts to need
+        m1 = m2 = 0  # the two largest counts so far
+        for v in ranked:
+            if available >> v & 1:
+                bound = bounds[v]
+                if bound + (m1 if m1 > bound else bound) < need:
+                    return None
+                count = (closed[v] & unc).bit_count()
+                if count > m2:
+                    m1, m2 = (count, m1) if count > m1 else (m1, count)
+                    if m1 + m2 >= need:
+                        break
+        else:
+            return None
+    else:
+        # exact counts, which the children take as their bounds
+        bounds = [(c & unc).bit_count() for c in closed]
+        ranked = sorted(range(nv), key=bounds.__getitem__, reverse=True)
+        top, left = 0, budget
+        for v in ranked:
+            if available >> v & 1:
+                top += bounds[v]
+                left -= 1
+                if not left:
+                    break
+        if top < need:
+            return None
     # branch on the uncovered vertex with the fewest available dominators
-    pick, pick_cands, pick_size = -1, 0, nv + 1
-    for u in _bits(unc):
-        cands = closed[u] & available
+    pick_cands, pick_size = 0, nv + 1
+    rest = unc
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cands = closed[low.bit_length() - 1] & available
         size = cands.bit_count()
         if size == 0:
             return None
         if size < pick_size:
-            pick, pick_cands, pick_size = u, cands, size
+            pick_cands, pick_size = cands, size
             if size == 1:
                 break
     # branch i commits to candidate i and bans candidates tried before it,
-    # so the branches partition the solution space
-    order = sorted(_bits(pick_cands), key=lambda v: -(closed[v] & unc).bit_count())
-    avail = available
+    # so the branches partition the solution space; larger covers first,
+    # ties by index (the sort is stable under reverse)
+    order = sorted(_bits(pick_cands), key=lambda v: (closed[v] & unc).bit_count(), reverse=True)
     for v in order:
-        avail &= ~(1 << v)
-        sub = _cover_search(unc & ~closed[v], budget - 1, avail, closed, nv)
+        available &= ~(1 << v)
+        sub = _cover_search(unc & ~closed[v], budget - 1, available, bounds, ranked, closed, nv)
         if sub is not None:
             return [v] + sub
     return None
+
+
+def _min_cover(closed: list[int], k: int) -> list[int] | None:
+    """At most k vertices whose closed neighborhoods cover every vertex."""
+    nv = len(closed)
+    full = (1 << nv) - 1
+    bounds = [c.bit_count() for c in closed]
+    ranked = sorted(range(nv), key=bounds.__getitem__, reverse=True)
+    return _cover_search(full, k, full, bounds, ranked, closed, nv)
 
 
 def oracle_gamma(spec: GraphSpec, cap: int | None = None) -> tuple[int, list[Vertex]]:
@@ -170,10 +242,9 @@ def oracle_gamma(spec: GraphSpec, cap: int | None = None) -> tuple[int, list[Ver
     nv = len(verts)
     closed = [adj[i] | (1 << i) for i in range(nv)]
     greedy = _greedy_cover(closed, nv)
-    full = (1 << nv) - 1
     lower = -(-nv // (spec.degree + 1))
     for k in range(lower, len(greedy)):
-        found = _cover_search(full, k, full, closed, nv)
+        found = _min_cover(closed, k)
         if found is not None:
             return k, sorted(verts[i] for i in found)
     return len(greedy), sorted(verts[i] for i in greedy)
@@ -197,41 +268,50 @@ def _k_coloring(nbrs: list[list[int]], k: int, clique: list[int]):
         sees[c] = adj[v]
         uncolored ^= 1 << v
     # level[s]: the uncolored vertices with saturation (distinct neighbor
-    # colors) s; a vertex at level k sees every color, so none rises past it
+    # colors) s; a vertex at level k sees every color and has none left
     level = [0] * (k + 1)
     for u in _bits(uncolored):
         level[sum(seen >> u & 1 for seen in sees)] |= 1 << u
+    if level[k]:
+        return None
 
     def rec(uncolored: int, max_used: int) -> bool:
+        # level[k] stays empty: a move that would fill it is skipped
         if not uncolored:
             return True
         # saturation order: most distinct neighbor colors first, lowest index
-        top = k
+        top = k - 1
         while not level[top]:
             top -= 1
         bit = level[top] & -level[top]
         v = bit.bit_length() - 1
         level[top] ^= bit
         uncolored ^= bit
-        near = adj[v]
+        near = adj[v] & uncolored
         saved = level.copy()
-        for c in range(min(k, max_used + 2)):  # at most one brand-new color
+        last = level[k - 1]
+        limit = max_used + 2 if max_used + 2 < k else k  # at most one brand-new color
+        for c in range(limit):
             seen_c = sees[c]
             if seen_c & bit:
                 continue
-            colors[v] = c
-            # every uncolored neighbor new to color c rises one level
-            rise = near & uncolored & ~seen_c
-            for s in range(top, -1, -1):
+            # every uncolored neighbor new to color c rises one level; one
+            # rising from level k - 1 would have no color left, so the child
+            # this move opens could only fail
+            rise = near & ~seen_c
+            if rise & last:
+                continue
+            s = top  # no uncolored vertex sits above top
+            while rise:
                 moved = level[s] & rise
                 if moved:
                     level[s] ^= moved
                     level[s + 1] |= moved
                     rise ^= moved
-                    if not rise:
-                        break
+                s -= 1
+            colors[v] = c
             sees[c] = seen_c | near
-            if rec(uncolored, max(max_used, c)):
+            if rec(uncolored, c if c > max_used else max_used):
                 return True
             sees[c] = seen_c
             level[:] = saved
@@ -263,20 +343,6 @@ def oracle_chi(spec: GraphSpec, cap: int | None = None) -> tuple[int, dict[Verte
 
 
 # -- distances -----------------------------------------------------------------
-
-
-def oracle_distances(spec: GraphSpec, source: tuple[int, ...]) -> dict[Vertex, int]:
-    """BFS distances from source to every reachable vertex."""
-    source = validate_vertex(spec, source)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in neighbors(spec, v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
 
 
 def all_pairs_distances(

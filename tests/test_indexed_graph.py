@@ -46,8 +46,10 @@ def test_graph_matches_definitions(spec):
     assert list(graph.vertices) == verts
     assert graph.rank(graph.coords).tolist() == list(range(len(verts)))
     assert graph.targets.shape == (len(verts), spec.degree)
+    index = {v: i for i, v in enumerate(verts)}
     for i, v in enumerate(verts):
         assert [verts[j] for j in graph.targets[i]] == neighbors(spec, v)
+        assert graph.adjacency_bits[i] == sum(1 << index[w] for w in neighbors(spec, v))
     pairs = {(u, w) for u, w in itertools.combinations(verts, 2) if adjacent(spec, u, w)}
     assert edges(spec) == sorted(pairs)
 
@@ -74,6 +76,7 @@ def test_arrays_read_only_and_cached():
     spec = sr_spec(3, 2)
     graph = indexed_graph(spec)
     assert indexed_graph(spec) is graph
+    assert indexed_graph(spec).adjacency_bits is graph.adjacency_bits  # built once
     for array in (graph.coords, graph.targets):
         with pytest.raises(ValueError):
             array[0, 0] = 7

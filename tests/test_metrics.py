@@ -20,7 +20,9 @@ from rooklab.metrics import (
     sr_diameter,
     zero_partition_number,
 )
-from rooklab.oracles import oracle_alpha, oracle_distances
+from rooklab.oracles import oracle_alpha
+
+from bfs import oracle_distances
 
 
 def brute_zero_partition_number(b, n):

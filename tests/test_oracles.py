@@ -1,11 +1,14 @@
 """The brute-force solvers against closed forms and tiny exhaustive checks."""
 
+import heapq
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from rooklab import oracles
 from rooklab.constructions import hamiltonian_cycle_sr
 from rooklab.core import (
     adjacent,
@@ -20,16 +23,18 @@ from rooklab.oracles import (
     CycleVerdict,
     _bit_graph,
     _bits,
+    _greedy_cover,
     _k_coloring,
     _max_clique_bits,
     all_pairs_distances,
     oracle_alpha,
     oracle_chi,
-    oracle_distances,
     oracle_gamma,
     oracle_omega,
     verify_cycle,
 )
+
+from bfs import oracle_distances
 
 
 def test_alpha_sr3_closed_form_small():
@@ -389,3 +394,97 @@ def test_k_coloring_matches_scan_on_random_graphs(seed):
         if got is not None:
             break
     assert all(got[u] != got[w] for u in range(nv) for w in nbrs[u])
+
+
+def scan_cover_search(unc: int, budget: int, available: int, closed: list[int], nv: int):
+    """The set cover search as it was before its count bound was settled
+    per budget: every node heaps every available vertex's count.  Kept as
+    the reference the faster search must match cover for cover and node
+    for node."""
+    if unc == 0:
+        return []
+    if budget == 0:
+        return None
+    # prefix-sum bound: even the `budget` largest covers cannot reach unc
+    covers = heapq.nlargest(
+        budget, ((closed[v] & unc).bit_count() for v in _bits(available))
+    )
+    if sum(covers) < unc.bit_count():
+        return None
+    # branch on the uncovered vertex with the fewest available dominators
+    pick, pick_cands, pick_size = -1, 0, nv + 1
+    for u in _bits(unc):
+        cands = closed[u] & available
+        size = cands.bit_count()
+        if size == 0:
+            return None
+        if size < pick_size:
+            pick, pick_cands, pick_size = u, cands, size
+            if size == 1:
+                break
+    # branch i commits to candidate i and bans candidates tried before it,
+    # so the branches partition the solution space
+    order = sorted(_bits(pick_cands), key=lambda v: -(closed[v] & unc).bit_count())
+    avail = available
+    for v in order:
+        avail &= ~(1 << v)
+        sub = scan_cover_search(unc & ~closed[v], budget - 1, avail, closed, nv)
+        if sub is not None:
+            return [v] + sub
+    return None
+
+
+def count_calls(monkeypatch, module, name):
+    """Route module.name, and so its own recursion, through a call counter."""
+    inner = getattr(module, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_cover_search_matches_scan(adj, monkeypatch):
+    """Run both searches at every cover size oracle_gamma tries on adj;
+    return the size found.  The lower end is oracle_gamma's for a regular
+    graph, with the largest degree in place of the degree."""
+    nv = len(adj)
+    closed = [adj[i] | (1 << i) for i in range(nv)]
+    greedy = _greedy_cover(closed, nv)
+    full = (1 << nv) - 1
+    here = sys.modules[__name__]
+    new_calls = count_calls(monkeypatch, oracles, "_cover_search")
+    scan_calls = count_calls(monkeypatch, here, "scan_cover_search")
+    for k in range(-(-nv // (max(a.bit_count() for a in adj) + 1)), len(greedy)):
+        got = oracles._min_cover(closed, k)
+        assert got == here.scan_cover_search(full, k, full, closed, nv)
+        assert new_calls == scan_calls  # the same tree, node for node
+        if got is not None:
+            return k
+    return len(greedy)
+
+
+# SR(3,n) and SR(4,n) up to 60 vertices, then every graph whose domination
+# number the certify benchmark searches
+GAMMA_SPECS = list(dict.fromkeys(
+    [sr_spec(3, n) for n in range(10)] + [sr_spec(4, n) for n in range(6)] + [
+        sr_spec(3, 6), sr_spec(3, 9), sr_spec(3, 10), sr_spec(4, 4), sr_spec(4, 5),
+        csr_spec(3, 5), csr_spec(3, 7), csr_spec(4, 3), csr_spec(4, 4),
+    ]
+))
+
+
+@pytest.mark.parametrize("spec", GAMMA_SPECS, ids=[s.label() for s in GAMMA_SPECS])
+def test_cover_search_matches_scan_reference(spec, monkeypatch):
+    # identical covers (or None) for every k oracle_gamma tries
+    adj = _bit_graph(spec)[1]
+    assert assert_cover_search_matches_scan(adj, monkeypatch) == oracle_gamma(spec)[0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cover_search_matches_scan_on_random_graphs(seed, monkeypatch):
+    # irregular graphs give uneven cover counts and candidate sets
+    assert_cover_search_matches_scan(random_graph(seed), monkeypatch)
