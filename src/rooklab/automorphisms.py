@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import config
-from .core import GraphSpec, Vertex, adjacent, check_cap, csr_spec, validate_vertex
+from .core import GraphSpec, csr_spec
 from .oracles import _bit_graph, _bits
 
 
@@ -59,32 +59,6 @@ class AutDescriptor:
             raise ValueError(f"offset entries must lie in 0..{self.n - 1}: {self.d}")
         if sum(self.d) % self.n != 0:
             raise ValueError(f"offset vector must sum to 0 mod {self.n}: {self.d}")
-
-
-def identity_descriptor(m: int, n: int) -> AutDescriptor:
-    return AutDescriptor(n, tuple(range(m)), 1 % n, (0,) * m)
-
-
-def apply_automorphism(desc: AutDescriptor, x: tuple[int, ...]) -> Vertex:
-    """Image of the vertex x under the descriptor's map."""
-    spec = csr_spec(len(desc.sigma), desc.n)
-    x = validate_vertex(spec, x)
-    return tuple((desc.c * x[desc.sigma[i]] + desc.d[i]) % desc.n for i in range(len(x)))
-
-
-def preserves_adjacency(desc: AutDescriptor, spec: GraphSpec, edges) -> bool:
-    """Full scan: every given edge maps to an edge.  The image of each vertex
-    is computed once; adjacency of images is then a plain coordinate check."""
-    images: dict[Vertex, Vertex] = {}
-    sigma, c, d, n = desc.sigma, desc.c, desc.d, desc.n
-    m = len(sigma)
-    for a, b in edges:
-        for v in (a, b):
-            if v not in images:
-                images[v] = tuple((c * v[sigma[i]] + d[i]) % n for i in range(m))
-        if not adjacent(spec, images[a], images[b]):
-            return False
-    return True
 
 
 def _units(n: int) -> list[int]:
@@ -120,16 +94,14 @@ def enumerate_group(m: int, n: int) -> Iterator[AutDescriptor]:
 # -- independent count by orbit-stabilizer -----------------------------------
 
 
-def oracle_aut_count(spec: GraphSpec, cap: int | None = None) -> int:
+def oracle_aut_count(spec: GraphSpec) -> int:
     """Number of adjacency-preserving bijections, by orbit-stabilizer along
     the BFS order with generator-orbit pruning (see the module docstring).
     Candidate images are pruned by adjacency to the mapped vertices and by
     common-neighbor counts (degrees alone cannot tell vertices of these
     vertex-transitive graphs apart).
     """
-    limit = config.aut_cap(cap)
-    check_cap(spec, limit, "automorphism search")
-    verts, adj = _bit_graph(spec, max(limit, spec.vertex_count))
+    verts, adj = _bit_graph(spec, config.AUT_CAP, "automorphism search")
     nv = len(verts)
 
     # common-neighbor counts; invariant signatures narrow initial candidates

@@ -161,6 +161,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_independent_set(args) -> int:
     spec = _spec_from_args(args)
     family = constructions.residue_independent_family(spec, args.prime, args.enum_cap)
+    cap = config.enum_cap(args.enum_cap)
+    if family.p > cap:  # one line per class below
+        raise CapExceededError(
+            f"p={family.p} is over the enumeration cap {cap} (one line per residue class)"
+        )
     print(f"residue-family family={spec.family} m={spec.m} n={spec.n} p={family.p}")
     for t, ok in enumerate(family.independent):
         print(f"class index={t} size={family.sizes.get(t, 0)} independent={'yes' if ok else 'no'}")
@@ -176,17 +181,17 @@ def _cmd_dominating_set(args) -> int:
     if args.conjectured:
         if args.m != 3:
             raise ValueError("the conjectured diagonal set is defined for m=3 only")
-        result = constructions.conjectured_dominating_set_sr3(
-            args.n, compare_oracle=args.oracle, cap=args.enum_cap
-        )
+        result = constructions.conjectured_dominating_set_sr3(args.n, cap=args.enum_cap)
+        # exact gamma before any output, so a search over its cap prints nothing
+        gamma = oracles.oracle_gamma(_spec_from_args(args))[0] if args.oracle else None
+        mismatch = gamma is not None and gamma != result.size
         print(f"conjectured-dominating-set m=3 n={args.n} size={result.size}")
         for v in result.vertices:
             print(f"vertex {format_vertex(v)}")
         print(f"verdict dominates={'yes' if result.dominates else 'no'}")
-        if result.oracle_gamma is not None:
-            match = "yes" if result.matches_oracle else "no"
-            print(f"oracle gamma={result.oracle_gamma} matches={match}")
-        return _strict_exit(args, result.matches_oracle is False or not result.dominates)
+        if gamma is not None:
+            print(f"oracle gamma={gamma} matches={'no' if mismatch else 'yes'}")
+        return _strict_exit(args, mismatch or not result.dominates)
 
     dom = constructions.dominating_set_sr(args.m, args.n, cap=args.enum_cap)
     spec = dom.spec

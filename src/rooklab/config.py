@@ -1,4 +1,5 @@
-"""Runtime limits and tolerances, overridable per call or via environment.
+"""Runtime limits and tolerances.  Four are overridable per call or via
+environment; the oracle caps are fixed.
 
 Environment variables (used when a function receives no explicit value):
 
@@ -13,8 +14,10 @@ or --tol) or read from a variable, is a ValueError naming its source.  The CLI
 checks every flag it was given when it starts, whether or not the command
 reads it; a variable is read only when a command needs its value.
 
-Search caps for the brute-force oracles have plain defaults and are set per
-call; they guard runtime, not correctness.
+The brute-force oracles have fixed vertex caps, which guard runtime, not
+correctness: SEARCH_CAP for the exact alpha, gamma, omega and chi searches,
+AUT_CAP for the automorphism count and MATRIX_CAP for the all-pairs distance
+matrix.  No flag or variable changes them.
 """
 
 import os
@@ -23,11 +26,9 @@ DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_EIG_CAP = 2000
 DEFAULT_MASK_LIMIT = 22
 DEFAULT_TOL = 1e-6
-DEFAULT_SEARCH_CAP = 200
-DEFAULT_AUT_CAP = 128
-
-# merge tolerance for collapsing near-equal eigenvalues into multiplicities
-EIG_MERGE_TOL = 1e-8
+SEARCH_CAP = 200
+AUT_CAP = 128
+MATRIX_CAP = 5000
 
 
 def _read(value, flag: str, name: str, default, kind=int):
@@ -65,14 +66,3 @@ def mask_limit(value: int | None = None) -> int:
 def tol(value: float | None = None) -> float:
     return _read(value, "--tol", "ROOKLAB_TOL", DEFAULT_TOL, float)
 
-
-def search_cap(value: int | None = None) -> int:
-    if value is not None:
-        return int(value)
-    return DEFAULT_SEARCH_CAP
-
-
-def aut_cap(value: int | None = None) -> int:
-    if value is not None:
-        return int(value)
-    return DEFAULT_AUT_CAP

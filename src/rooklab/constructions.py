@@ -30,7 +30,6 @@ from .core import (
     format_vertex,
     indexed_graph,
     iter_vertices,
-    neighbors,
     sr_spec,
     validate_vertex,
 )
@@ -96,11 +95,6 @@ def _reliable_size(spec: GraphSpec) -> int:
 def default_prime(spec: GraphSpec) -> int:
     """Smallest prime that gives the residue-class argument its guarantee."""
     return smallest_prime_at_least(_reliable_size(spec))
-
-
-def residue_key(v: tuple[int, ...], p: int) -> int:
-    """Weighted coordinate sum sum_i i*v_i mod p, with 1-based weights."""
-    return sum((i + 1) * x for i, x in enumerate(v)) % p
 
 
 # -- the residue partition: independent sets and colouring -----------------------
@@ -286,42 +280,30 @@ def dominating_set_sr(m: int, n: int, cap: int | None = None) -> SrDominatingSet
 @dataclass
 class ConjecturedDomination:
     """The diagonal candidate set {(i, i, n-2i)} for SR(3, n), with the
-    results of its domination scan and the optional exact comparison."""
+    verdict of its domination scan."""
 
     n: int
     vertices: list[Vertex]
     dominates: bool
-    oracle_gamma: int | None = None
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
-    @property
-    def matches_oracle(self) -> bool | None:
-        if self.oracle_gamma is None:
-            return None
-        return self.size == self.oracle_gamma
 
-
-def conjectured_dominating_set_sr3(
-    n: int, compare_oracle: bool = False, cap: int | None = None
-) -> ConjecturedDomination:
+def conjectured_dominating_set_sr3(n: int, cap: int | None = None) -> ConjecturedDomination:
+    """The diagonal candidates and whether their closed neighbourhoods cover
+    SR(3, n).  Only the candidates' neighbour rows are built, so the scan
+    costs O(n^2), not the whole graph's O(n^3) neighbour array."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    spec = sr_spec(3, n)
-    check_enum_cap(spec, cap)
+    graph = indexed_graph(sr_spec(3, n), cap)
     candidates = [(i, i, n - 2 * i) for i in range(n // 2 + 1)]
-    covered = set(candidates)
-    for d in candidates:
-        covered.update(neighbors(spec, d))
-    dominates = len(covered) == spec.vertex_count
-    gamma = None
-    if compare_oracle:
-        from .oracles import oracle_gamma
-
-        gamma = oracle_gamma(spec)[0]
-    return ConjecturedDomination(n, candidates, dominates, gamma)
+    coords = np.array(candidates, dtype=np.int64)
+    covered = np.zeros(len(graph.vertices), dtype=bool)
+    covered[graph.rank(coords)] = True
+    covered[graph.neighbour_index(coords)] = True
+    return ConjecturedDomination(n, candidates, bool(covered.all()))
 
 
 # -- Hamiltonian cycles for SR ---------------------------------------------------

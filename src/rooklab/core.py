@@ -236,11 +236,11 @@ class IndexedGraph:
             left -= coords[:, i]
         return rank
 
-    @functools.cached_property
-    def targets(self) -> np.ndarray:
-        """(N, degree) read-only array; row i lists vertex i's neighbour
-        indices in ascending order, which is the order of `neighbors`."""
-        spec, coords = self.spec, self.coords
+    def neighbour_index(self, coords: np.ndarray) -> np.ndarray:
+        """(len(coords), degree) array; row r lists the neighbour indices of
+        the vertex coords[r] in ascending order, which is the order of
+        `neighbors`."""
+        spec = self.spec
         targets = allocate(np.empty, (len(coords), spec.degree), np.int64, "neighbour-index")
         filled = np.zeros(len(coords), dtype=np.int64)  # columns used so far, per row
         for i, j, delta in _moves(spec):
@@ -256,6 +256,12 @@ class IndexedGraph:
             targets[rows, filled[rows]] = self.rank(moved)
             filled[rows] += 1
         targets.sort(axis=1)
+        return targets
+
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        """(N, degree) read-only `neighbour_index` of every vertex."""
+        targets = self.neighbour_index(self.coords)
         targets.flags.writeable = False
         return targets
 

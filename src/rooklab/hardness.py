@@ -120,7 +120,3 @@ def read_instance(infile: IO[str]) -> ThreePartitionInstance:
     values = tuple(int(tok) for tok in infile.readline().split())
     return ThreePartitionInstance(k, s, values)
 
-
-def write_instance(inst: ThreePartitionInstance, out: IO[str]) -> None:
-    out.write(f"{inst.k} {inst.s}\n")
-    out.write(" ".join(str(a) for a in inst.values) + "\n")

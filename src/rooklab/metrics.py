@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .constructions import default_prime, dominating_set_sr
+from .constructions import default_prime
 from .core import CSR, SR, GraphSpec, Vertex, allocate, csr_spec, validate_vertex
 from .errors import CapExceededError
 
@@ -243,43 +243,3 @@ def hoffman_alpha_bound(m: int, n: int) -> Fraction:
         return Fraction(spec.vertex_count)  # edgeless: every vertex fits
     return Fraction(-lam, r - lam) * spec.vertex_count
 
-
-# -- domination growth table ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaRow:
-    n: int
-    vertex_count: int
-    lower_bound: int
-    gamma: int
-    dominating_size: int
-    dominating_upper: int
-    consistent: bool
-
-
-def gamma_order_check(m: int, n_values, cap: int | None = None) -> list[GammaRow]:
-    """Tabulate exact gamma against the two growth envelopes: the degree
-    lower bound and the equal-pair dominating set (with its closed-form
-    ceiling).  Confirms lower <= gamma <= |D| row by row."""
-    from .oracles import oracle_gamma
-
-    rows = []
-    for n in n_values:
-        spec = GraphSpec(SR, m, n)
-        bound = {b.side: b.value for b in bounds_report(spec) if b.quantity == "gamma"}
-        gamma = oracle_gamma(spec, cap)[0]
-        dom = dominating_set_sr(m, n)
-        lower, upper = bound["lower"], bound["upper"]
-        rows.append(
-            GammaRow(
-                n,
-                spec.vertex_count,
-                lower,
-                gamma,
-                dom.size,
-                upper,
-                lower <= gamma <= dom.size <= upper,
-            )
-        )
-    return rows

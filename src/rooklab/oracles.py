@@ -40,9 +40,12 @@ from . import config
 from .core import SR, GraphSpec, Vertex, check_cap, indexed_graph, validate_vertex
 
 
-def _bit_graph(spec: GraphSpec, cap: int | None = None) -> tuple[list[Vertex], tuple[int, ...]]:
-    """Canonical vertex list plus one adjacency bitmask per vertex."""
-    check_cap(spec, config.search_cap(cap), "search")
+def _bit_graph(
+    spec: GraphSpec, limit: int = config.SEARCH_CAP, name: str = "search"
+) -> tuple[list[Vertex], tuple[int, ...]]:
+    """Canonical vertex list plus one adjacency bitmask per vertex, after the
+    check against the named vertex cap."""
+    check_cap(spec, limit, name)
     graph = indexed_graph(spec)
     return list(graph.vertices), graph.adjacency_bits
 
@@ -111,16 +114,16 @@ def _max_clique_bits(adj: list[int], nv: int) -> list[int]:
     return sorted(best)
 
 
-def oracle_omega(spec: GraphSpec, cap: int | None = None) -> tuple[int, list[Vertex]]:
+def oracle_omega(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact clique number with a witness clique."""
-    verts, adj = _bit_graph(spec, cap)
+    verts, adj = _bit_graph(spec)
     picked = _max_clique_bits(adj, len(verts))
     return len(picked), [verts[i] for i in picked]
 
 
-def oracle_alpha(spec: GraphSpec, cap: int | None = None) -> tuple[int, list[Vertex]]:
+def oracle_alpha(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact independence number: maximum clique of the complement."""
-    verts, adj = _bit_graph(spec, cap)
+    verts, adj = _bit_graph(spec)
     nv = len(verts)
     full = (1 << nv) - 1
     comp = [full & ~adj[i] & ~(1 << i) for i in range(nv)]
@@ -236,9 +239,9 @@ def _min_cover(closed: list[int], k: int) -> list[int] | None:
     return _cover_search(full, k, full, bounds, ranked, closed, nv)
 
 
-def oracle_gamma(spec: GraphSpec, cap: int | None = None) -> tuple[int, list[Vertex]]:
+def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact domination number via iterative deepening on the cover size."""
-    verts, adj = _bit_graph(spec, cap)
+    verts, adj = _bit_graph(spec)
     nv = len(verts)
     closed = [adj[i] | (1 << i) for i in range(nv)]
     greedy = _greedy_cover(closed, nv)
@@ -253,13 +256,13 @@ def oracle_gamma(spec: GraphSpec, cap: int | None = None) -> tuple[int, list[Ver
 # -- chromatic number ----------------------------------------------------------
 
 
-def _k_coloring(nbrs: list[list[int]], k: int, clique: list[int]):
-    """A proper k-coloring as a color array, or None.  The clique is
-    pre-colored 0..len(clique)-1, which is a valid symmetry break."""
+def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
+    """A proper k-coloring of the graph with adjacency bitmasks adj, as a
+    color array, or None.  The clique is pre-colored 0..len(clique)-1, which
+    is a valid symmetry break."""
     if len(clique) > k:
         return None
-    nv = len(nbrs)
-    adj = [sum(1 << w for w in row) for row in nbrs]
+    nv = len(adj)
     colors = [-1] * nv
     sees = [0] * k  # sees[c]: the vertices with a neighbor colored c
     uncolored = (1 << nv) - 1
@@ -323,20 +326,19 @@ def _k_coloring(nbrs: list[list[int]], k: int, clique: list[int]):
     return None
 
 
-def oracle_chi(spec: GraphSpec, cap: int | None = None) -> tuple[int, dict[Vertex, int]]:
+def oracle_chi(spec: GraphSpec) -> tuple[int, dict[Vertex, int]]:
     """Exact chromatic number via iterative deepening on the color count."""
-    verts, adj = _bit_graph(spec, cap)
+    verts, adj = _bit_graph(spec)
     nv = len(verts)
-    nbrs = [list(_bits(a)) for a in adj]
     clique = _max_clique_bits(adj, nv)
     # greedy coloring in canonical order gives the upper end of the search
     greedy = [-1] * nv
     for v in range(nv):
-        taken = {greedy[w] for w in nbrs[v]}
+        taken = {greedy[w] for w in _bits(adj[v])}
         greedy[v] = next(c for c in range(nv) if c not in taken)
     upper = max(greedy) + 1 if nv else 0
     for k in range(len(clique), upper):
-        colors = _k_coloring(nbrs, k, clique)
+        colors = _k_coloring(adj, k, clique)
         if colors is not None:
             return k, {verts[i]: colors[i] for i in range(nv)}
     return upper, {verts[i]: greedy[i] for i in range(nv)}
@@ -345,14 +347,12 @@ def oracle_chi(spec: GraphSpec, cap: int | None = None) -> tuple[int, dict[Verte
 # -- distances -----------------------------------------------------------------
 
 
-def all_pairs_distances(
-    spec: GraphSpec, cap: int = 5000
-) -> tuple[list[Vertex], np.ndarray]:
+def all_pairs_distances(spec: GraphSpec) -> tuple[list[Vertex], np.ndarray]:
     """Full distance matrix by simultaneous BFS (boolean matrix levels).
 
-    Unreached pairs keep -1.  Quadratic memory; guarded by `cap` vertices.
+    Unreached pairs keep -1.  Quadratic memory; guarded by the matrix cap.
     """
-    check_cap(spec, cap, "matrix")
+    check_cap(spec, config.MATRIX_CAP, "matrix")
     graph = indexed_graph(spec)
     nv = len(graph.vertices)
     adjm = graph.dense(np.float32)

@@ -251,13 +251,13 @@ def build_report(
     # spectral checks
     if spec.vertex_count <= config.eig_cap(eig_cap):
         eig = spectral.eigenvalues(spec, eig_cap)
-        spect = spectral.spectrum(eig, tolerance)
+        deviation = spectral.integer_deviation(eig)
         report.checks.append(
             CheckRecord(
                 "spectral-integrality",
                 claimed=spec.family == SR,
-                passed=spect.integral,
-                detail=f"max integer deviation {spect.max_integer_deviation:.3e}",
+                passed=deviation <= config.tol(tolerance),
+                detail=f"max integer deviation {deviation:.3e}",
             )
         )
         if spec.family == SR:

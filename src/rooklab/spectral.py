@@ -27,62 +27,16 @@ from . import config
 from .core import SR, GraphSpec, check_cap, csr_spec, indexed_graph
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted descending with multiplicities merged at 1e-8."""
-
-    size: int
-    pairs: tuple[tuple[float, int], ...]
-    integral: bool
-    max_integer_deviation: float
-
-    def values(self) -> list[float]:
-        """Expanded eigenvalue list, descending."""
-        return [value for value, mult in self.pairs for _ in range(mult)]
-
-    def to_records(self) -> dict:
-        """Serializable form: one {value, multiplicity} record per distinct
-        eigenvalue plus the verdict fields."""
-        return {
-            "size": self.size,
-            "eigenvalues": [
-                {"value": value, "multiplicity": mult} for value, mult in self.pairs
-            ],
-            "integral": self.integral,
-            "max_integer_deviation": self.max_integer_deviation,
-        }
-
-    @property
-    def largest(self) -> float:
-        return self.pairs[0][0]
-
-
-def adjacency_matrix(spec: GraphSpec) -> np.ndarray:
-    """Dense 0/1 adjacency in canonical vertex order."""
-    return indexed_graph(spec).dense()
-
-
 def eigenvalues(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
     """Ascending eigenvalues of the dense adjacency matrix, as eigvalsh gives
     them, after the eigensolver-cap check."""
     check_cap(spec, config.eig_cap(cap), "eigensolver")
-    return np.linalg.eigvalsh(adjacency_matrix(spec))
+    return np.linalg.eigvalsh(indexed_graph(spec).dense())
 
 
-def spectrum(eig: np.ndarray, tolerance: float | None = None) -> Spectrum:
-    """The eigenvalues from `eigenvalues`, grouped, with an integrality verdict."""
-    ordered = np.sort(eig)[::-1]
-    pairs: list[tuple[float, int]] = []
-    group: list[float] = []
-    for x in ordered:
-        if group and abs(group[0] - x) > config.EIG_MERGE_TOL:
-            pairs.append((float(np.mean(group)), len(group)))
-            group = []
-        group.append(float(x))
-    if group:
-        pairs.append((float(np.mean(group)), len(group)))
-    deviation = float(np.max(np.abs(ordered - np.round(ordered)))) if len(ordered) else 0.0
-    return Spectrum(len(ordered), tuple(pairs), deviation <= config.tol(tolerance), deviation)
+def integer_deviation(eig: np.ndarray) -> float:
+    """Largest distance from an eigenvalue to the nearest integer, 0 for none."""
+    return float(np.max(np.abs(eig - np.round(eig)))) if len(eig) else 0.0
 
 
 @dataclass(frozen=True)
@@ -95,8 +49,8 @@ class LambdaMinCheck:
 def lambda_min_check(
     spec: GraphSpec, eig: np.ndarray, tolerance: float | None = None
 ) -> LambdaMinCheck:
-    """Compare the least eigenvalue eig[0] of an SR graph (not a Spectrum's
-    group mean), from `eigenvalues`, against the known max(-n, -C(m, 2))."""
+    """Compare the least eigenvalue eig[0] of an SR graph, from
+    `eigenvalues`, against the known max(-n, -C(m, 2))."""
     if spec.family != SR:
         raise ValueError(f"least-eigenvalue formula applies to SR only, got {spec.label()}")
     predicted = max(-spec.n, -math.comb(spec.m, 2))
@@ -118,7 +72,3 @@ def csr_character_spectrum(m: int, n: int, cap: int | None = None) -> np.ndarray
         equal += y[:, i] == y[:, j]
     return np.sort(n * equal - math.comb(m, 2))
 
-
-def complete_graph_spectrum(k: int) -> list[float]:
-    """K_k adjacency spectrum: k-1 once, -1 with multiplicity k-1."""
-    return [float(k - 1)] + [-1.0] * (k - 1)

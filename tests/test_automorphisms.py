@@ -7,18 +7,17 @@ import pytest
 
 from rooklab.automorphisms import (
     AutDescriptor,
-    apply_automorphism,
     enumerate_group,
     euler_phi,
     group_order_formula,
-    identity_descriptor,
     oracle_aut_count,
     outside_hypothesis,
-    preserves_adjacency,
 )
 from rooklab.core import CSR, SR, GraphSpec, csr_spec, edges, enumerate_vertices, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.oracles import _bit_graph, _bits
+
+from descriptors import apply_automorphism, identity_descriptor, preserves_adjacency
 
 
 def test_identity_fixes_everything():
@@ -127,8 +126,10 @@ def test_descriptor_maps_injective_csr44():
 
 
 def test_aut_cap():
-    with pytest.raises(CapExceededError):
-        oracle_aut_count(csr_spec(5, 4), cap=100)
+    with pytest.raises(
+        CapExceededError, match=r"^CSR\(5,4\) has 256 vertices, over the automorphism search cap 128$"
+    ):
+        oracle_aut_count(csr_spec(5, 4))
 
 
 def leaf_aut_count(spec):

@@ -15,11 +15,12 @@ from rooklab.constructions import (
     max_clique_csr,
     proper_coloring,
     residue_independent_family,
-    residue_key,
     smallest_prime_at_least,
 )
 from rooklab.core import adjacent, csr_spec, enumerate_vertices, neighbors, sr_spec
-from rooklab.oracles import oracle_alpha, oracle_omega, verify_cycle
+from rooklab.oracles import oracle_alpha, oracle_gamma, oracle_omega, verify_cycle
+
+from residue import residue_key
 
 
 def test_smallest_prime_at_least():
@@ -152,12 +153,12 @@ def test_dominating_set_witnesses(m, n):
 
 
 def test_conjectured_sr3_small():
-    result = conjectured_dominating_set_sr3(2, compare_oracle=True)
+    result = conjectured_dominating_set_sr3(2)
     assert result.vertices == [(0, 0, 2), (1, 1, 0)]
-    assert result.dominates and result.size == 2 and result.matches_oracle
+    assert result.dominates and result.size == 2 == oracle_gamma(sr_spec(3, 2))[0]
 
-    result = conjectured_dominating_set_sr3(4, compare_oracle=True)
-    assert result.size == 3 and result.dominates and result.matches_oracle
+    result = conjectured_dominating_set_sr3(4)
+    assert result.dominates and result.size == 3 == oracle_gamma(sr_spec(3, 4))[0]
 
     result = conjectured_dominating_set_sr3(0)
     assert result.vertices == [(0, 0, 0)] and result.dominates
@@ -165,12 +166,27 @@ def test_conjectured_sr3_small():
 
 def test_conjectured_sr3_not_always_minimum():
     # the diagonal set dominates but is beaten by gamma = 3 at n = 6; the
-    # result records the gap instead of asserting minimality
-    result = conjectured_dominating_set_sr3(6, compare_oracle=True)
+    # result records the set, not a claim of minimality
+    result = conjectured_dominating_set_sr3(6)
     assert result.dominates
     assert result.size == 4
-    assert result.oracle_gamma == 3
-    assert result.matches_oracle is False
+    assert oracle_gamma(sr_spec(3, 6))[0] == 3
+
+
+def neighbors_cover_dominates(n):
+    """The reference verdict: the candidates and every `neighbors` entry of
+    theirs together hold all of SR(3, n)."""
+    spec = sr_spec(3, n)
+    candidates = [(i, i, n - 2 * i) for i in range(n // 2 + 1)]
+    covered = set(candidates)
+    for d in candidates:
+        covered.update(neighbors(spec, d))
+    return len(covered) == spec.vertex_count
+
+
+def test_conjectured_verdict_matches_neighbors_cover():
+    for n in range(41):
+        assert conjectured_dominating_set_sr3(n).dominates == neighbors_cover_dominates(n), n
 
 
 # -- Hamiltonian cycles ----------------------------------------------------------

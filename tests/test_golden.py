@@ -12,7 +12,9 @@ search were rewritten; and the `coloring --family sr -m 3 -n 4` and
 `independent-set` rows on SR(4,3) and CSR(3,2) before the residue colouring
 and the residue independent sets were made one result; and the
 `hamiltonian-cycle` rows on SR(3,12), SR(2,11) and SR(6,1) before the cycle
-was built, checked and written as one array.  So any change in
+was built, checked and written as one array; and the `--conjectured`
+`dominating-set` rows before the exact-gamma comparison moved from
+`constructions` into the CLI.  So any change in
 what those commands print or write shows up here.  The distance queries are chosen so that several optimal
 blocks tie, which pins the witness tie-break.  Re-record only for an
 intended change of output, by running this file with GOLDEN_PRINT set to 1
@@ -204,6 +206,24 @@ GOLDEN = [
         "construct dominating-set -m 4 -n 3",
         0,
         "2e673cca75eb4a6c13f7ebcd9486f93418d8582321b01b95c7fe432769b20c88",
+        {},
+    ),
+    (  # the diagonal set misses gamma: 4 against 3
+        "construct dominating-set -m 3 -n 6 --conjectured --oracle --strict",
+        3,
+        "9dd9364aa20e9954f038022893b9b0c68d3223e879964ed9101d61e884713e36",
+        {},
+    ),
+    (
+        "construct dominating-set -m 3 -n 4 --conjectured --oracle",
+        0,
+        "42d8e0edbbfcd0a602cd9c69381c14dc40af287be6b3c06447e430a3d63a5346",
+        {},
+    ),
+    (
+        "construct dominating-set -m 3 -n 7 --conjectured",
+        0,
+        "129268cdd9debb3b35d7f07c313e3d33c00fa418ce5b9f1e5d7145d7733a9327",
         {},
     ),
     (

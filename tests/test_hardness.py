@@ -11,9 +11,14 @@ from rooklab.hardness import (
     read_instance,
     run_reduction,
     solve_3partition,
-    write_instance,
 )
 from rooklab.metrics import csr_distance
+
+
+def write_instance(inst, out):
+    """The instance file `read_instance` parses: 'k s', then the 3k values."""
+    out.write(f"{inst.k} {inst.s}\n")
+    out.write(" ".join(str(a) for a in inst.values) + "\n")
 
 
 def test_instance_validation_examples():

@@ -11,7 +11,6 @@ from rooklab.constructions import (
     default_prime,
     proper_coloring,
     residue_independent_family,
-    residue_key,
 )
 from rooklab.core import (
     CSR,
@@ -26,7 +25,8 @@ from rooklab.core import (
     sr_spec,
 )
 from rooklab.errors import CapExceededError
-from rooklab.spectral import adjacency_matrix
+
+from residue import residue_key
 
 # every spec with at most 300 vertices and m, n <= 12: this takes in m = 1,
 # SR n = 0 and CSR n in {1, 2}
@@ -62,7 +62,7 @@ def test_dense_matrix_bit_identical(spec):
     for i, v in enumerate(verts):
         for w in neighbors(spec, v):
             reference[i, index[w]] = 1.0
-    mat = adjacency_matrix(spec)
+    mat = indexed_graph(spec).dense()
     assert mat.dtype == reference.dtype and mat.tobytes() == reference.tobytes()
 
 

@@ -15,7 +15,6 @@ from rooklab.metrics import (
     csr_distance,
     csr_distance_witness,
     csr_eccentric_vertex,
-    gamma_order_check,
     hoffman_alpha_bound,
     sr_diameter,
     zero_partition_number,
@@ -345,6 +344,12 @@ def test_bounds_sr32():
     assert report["diameter", "exact"] == 2
 
 
+def test_bounds_sr34_gamma():
+    report = bound_values(sr_spec(3, 4))
+    assert report["gamma", "lower"] == 2  # ceil(15/9)
+    assert report["gamma", "upper"] == 3  # floor(C(6,1)/2), met by gamma = 3
+
+
 def test_bounds_sr36():
     report = bound_values(sr_spec(3, 6))
     assert bounds_report(sr_spec(3, 6))[0].formula == "ceil(C(8,6)/7)"  # p = 7
@@ -375,18 +380,3 @@ def test_hoffman_bound_values():
 def test_hoffman_dominates_oracle_alpha(m, n):
     assert hoffman_alpha_bound(m, n) >= oracle_alpha(sr_spec(m, n))[0]
 
-
-def test_gamma_order_check_m3():
-    rows = gamma_order_check(3, range(0, 6))
-    assert all(row.consistent for row in rows)
-    by_n = {row.n: row for row in rows}
-    assert by_n[2].gamma == 2 and by_n[2].dominating_size == 2 and by_n[2].lower_bound == 2
-    assert by_n[4].lower_bound == 2 and by_n[4].gamma == 3 and by_n[4].dominating_size == 3
-
-
-def test_gamma_order_check_m4():
-    rows = gamma_order_check(4, range(1, 4))
-    assert all(row.consistent for row in rows)
-    row = next(r for r in rows if r.n == 2)
-    assert row.vertex_count == 10
-    assert row.lower_bound <= row.gamma <= row.dominating_size

@@ -294,10 +294,10 @@ def test_verify_cycle_names_bad_entries_without_raising():
 
 
 def test_search_caps():
-    with pytest.raises(CapExceededError):
-        oracle_alpha(sr_spec(4, 20), cap=50)
-    with pytest.raises(CapExceededError):
-        all_pairs_distances(csr_spec(6, 6), cap=100)
+    with pytest.raises(CapExceededError, match=r"^SR\(4,20\) has 1771 vertices, over the search cap 200$"):
+        oracle_alpha(sr_spec(4, 20))
+    with pytest.raises(CapExceededError, match=r"^CSR\(6,6\) has 7776 vertices, over the matrix cap 5000$"):
+        all_pairs_distances(csr_spec(6, 6))
 
 
 def scan_k_coloring(adj, nv, k, clique):
@@ -357,12 +357,11 @@ def test_k_coloring_matches_scan_reference(spec):
     # identical colour arrays (or None) for every k oracle_chi tries
     verts, adj = _bit_graph(spec)
     nv = len(verts)
-    nbrs = [list(_bits(a)) for a in adj]
     clique = _max_clique_bits(adj, nv)
     chi = oracle_chi(spec)[0]
     assert chi >= len(clique)
     for k in range(len(clique), chi + 1):
-        got = _k_coloring(nbrs, k, clique)
+        got = _k_coloring(adj, k, clique)
         assert got == scan_k_coloring(adj, nv, k, clique)
         assert (got is not None) == (k == chi)
 
@@ -386,14 +385,13 @@ def test_k_coloring_matches_scan_on_random_graphs(seed):
     # CERTIFY_CHI graphs do not; every k from the clique size up to chi
     adj = random_graph(seed)
     nv = len(adj)
-    nbrs = [list(_bits(a)) for a in adj]
     clique = _max_clique_bits(adj, nv)
     for k in range(len(clique), nv + 1):
-        got = _k_coloring(nbrs, k, clique)
+        got = _k_coloring(adj, k, clique)
         assert got == scan_k_coloring(adj, nv, k, clique)
         if got is not None:
             break
-    assert all(got[u] != got[w] for u in range(nv) for w in nbrs[u])
+    assert all(got[u] != got[w] for u in range(nv) for w in _bits(adj[u]))
 
 
 def scan_cover_search(unc: int, budget: int, available: int, closed: list[int], nv: int):

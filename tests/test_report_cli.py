@@ -394,6 +394,30 @@ def test_cli_construct_coloring_large_prime_is_fast(family, m, n, prime, colors,
     )
 
 
+def test_cli_independent_set_prime_over_enum_cap_exits_fast(capsys):
+    # one line is printed per residue class, so p is held to the enumeration
+    # cap before the classes are listed
+    argv = "construct independent-set --family sr -m 3 -n 2 --prime 9999999999999937".split()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: p=9999999999999937 is over the enumeration cap 10000000"
+        " (one line per residue class)\n"
+    )
+
+
+def test_cli_independent_set_prime_cap_names_p_not_vertices(capsys):
+    # SR(3,2) has 6 vertices, within --enum-cap 6; p = 7 is not
+    code, out, err = run_cli(
+        capsys, "construct", "independent-set", "--family", "sr", "-m", "3", "-n", "2",
+        "--prime", "7", "--enum-cap", "6",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: p=7 is over the enumeration cap 6 (one line per residue class)\n"
+
+
 def test_cli_construct_dominating_set(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "dominating-set", "-m", "3", "-n", "4", "--oracle"

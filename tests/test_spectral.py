@@ -7,39 +7,46 @@ import random
 import numpy as np
 import pytest
 
-from rooklab.core import csr_spec, enumerate_vertices, neighbors, sr_spec
+from rooklab.core import csr_spec, enumerate_vertices, indexed_graph, neighbors, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.metrics import hoffman_alpha_bound
 from rooklab.oracles import oracle_alpha
 from rooklab.spectral import (
-    adjacency_matrix,
-    complete_graph_spectrum,
     csr_character_spectrum,
     eigenvalues,
+    integer_deviation,
     lambda_min_check,
-    spectrum,
 )
 
 
+def complete_graph_spectrum(k):
+    """K_k adjacency spectrum, ascending: -1 with multiplicity k-1, then k-1."""
+    return [-1] * (k - 1) + [k - 1]
+
+
 def test_sr32_spectrum():
-    sp = spectrum(eigenvalues(sr_spec(3, 2)))
-    assert sp.size == 6
-    assert abs(sp.largest - 4) < 1e-9  # regularity degree
-    assert sp.integral
-    assert sum(mult for _, mult in sp.pairs) == 6
-    assert abs(sum(v * m for v, m in sp.pairs)) < 1e-9  # zero trace
+    eig = eigenvalues(sr_spec(3, 2))
+    assert len(eig) == 6
+    assert abs(eig[-1] - 4) < 1e-9  # regularity degree
+    assert integer_deviation(eig) < 1e-9
+    assert abs(eig.sum()) < 1e-9  # zero trace
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sr2_complete_graph_spectrum(n):
-    sp = spectrum(eigenvalues(sr_spec(2, n)))
-    expected = complete_graph_spectrum(n + 1)
-    assert all(abs(a - b) < 1e-9 for a, b in zip(sp.values(), expected))
+    eig = eigenvalues(sr_spec(2, n))
+    assert np.allclose(eig, complete_graph_spectrum(n + 1), atol=1e-9)
 
 
 def test_csr32_is_k4():
-    sp = spectrum(eigenvalues(csr_spec(3, 2)))
-    assert [round(v) for v in sp.values()] == [3, -1, -1, -1]
+    assert np.round(eigenvalues(csr_spec(3, 2))).tolist() == [-1, -1, -1, 3]
+
+
+def test_integer_deviation():
+    assert integer_deviation(np.array([2.0, -1.25, 0.5, 3.0])) == 0.5
+    assert integer_deviation(np.array([0.5, -1.25, 2.0, 3.0])) == 0.5  # order-free
+    assert integer_deviation(np.array([-1.0, 4.0])) == 0.0
+    assert integer_deviation(np.array([])) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -74,7 +81,7 @@ def test_character_spectrum_matches_dense():
 def test_character_spectrum_complete_graph():
     # CSR(2, n) is complete on n vertices
     for n in range(2, 8):
-        assert csr_character_spectrum(2, n).tolist() == sorted(complete_graph_spectrum(n))
+        assert csr_character_spectrum(2, n).tolist() == complete_graph_spectrum(n)
 
 
 def test_character_spectrum_csr33():
@@ -103,7 +110,7 @@ def test_character_spectrum_cap():
 
 def test_spectrum_invariant_under_relabeling():
     spec = sr_spec(3, 3)
-    base = np.sort(np.linalg.eigvalsh(adjacency_matrix(spec)))
+    base = np.sort(np.linalg.eigvalsh(indexed_graph(spec).dense()))
     verts = enumerate_vertices(spec)
     rng = random.Random(7)
     perm = list(range(len(verts)))
@@ -120,22 +127,12 @@ def test_hoffman_bound_from_spectrum():
     # recompute the bound from the measured least eigenvalue and compare
     for m, n in [(3, 2), (3, 5), (4, 3)]:
         spec = sr_spec(m, n)
-        eig = np.linalg.eigvalsh(adjacency_matrix(spec))
+        eig = np.linalg.eigvalsh(indexed_graph(spec).dense())
         lam = eig[0]
         r = spec.degree
         measured = (-lam / (r - lam)) * spec.vertex_count
         assert abs(measured - float(hoffman_alpha_bound(m, n))) < 1e-6
         assert oracle_alpha(spec)[0] <= measured + 1e-9
-
-
-def test_spectrum_records_serializable():
-    import json
-
-    sp = spectrum(eigenvalues(csr_spec(3, 2)))
-    doc = sp.to_records()
-    assert doc["size"] == 4 and doc["integral"]
-    assert sum(rec["multiplicity"] for rec in doc["eigenvalues"]) == 4
-    json.dumps(doc)  # plain values only
 
 
 def test_eigensolver_cap():
