@@ -6,10 +6,13 @@ its classes are the candidate independent sets, its class index the colour,
 and one scan counts the edges inside each class.  Cliques are checked for
 pairwise adjacency as they are built.  Guaranteed properties that fail their
 scan raise InternalConsistencyError; family-dependent ones return a verdict.
-The equal-pair dominating set is not verified here, only by the witness scan
-of `construct dominating-set`.  The recursive Hamiltonian cycle is one
-read-only (N, m) array from construction to output, each slice a memoised
-sub-path array reversed, and is checked by `oracles.verify_cycle`.
+The equal-pair dominating set is the rows of the vertex array with equal
+first two coordinates.  It is not verified here but by `construct
+dominating-set`, which maps every vertex to its witness in one array pass
+and counts the witnesses that are not members of D equal or adjacent to
+their vertex.  The recursive Hamiltonian cycle is one read-only (N, m)
+array from construction to output, each slice a memoised sub-path array
+reversed, and is checked by `oracles.verify_cycle`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .core import (
     check_enum_cap,
     format_vertex,
     indexed_graph,
-    iter_vertices,
     sr_spec,
     validate_vertex,
 )
@@ -113,7 +115,7 @@ class ResidueClassFamily:
 
     spec: GraphSpec
     p: int
-    vertices: tuple[Vertex, ...]
+    coords: np.ndarray  # the graph's (N, m) vertex rows
     keys: np.ndarray  # class index of each vertex
     sizes: dict[int, int]  # size of each non-empty class, by ascending index
     clashes: dict[int, int]  # edges inside each class that has any
@@ -121,7 +123,7 @@ class ResidueClassFamily:
 
     def members(self, t: int) -> list[Vertex]:
         """The vertices of class t in canonical order."""
-        return [self.vertices[i] for i in np.flatnonzero(self.keys == t).tolist()]
+        return list(map(tuple, self.coords[self.keys == t].tolist()))
 
     @property
     def independent(self) -> list[bool]:
@@ -190,9 +192,9 @@ def proper_coloring(
     first = None
     if inside.any():
         at = int(np.argmax(inside))
-        first = (graph.vertices[src[at]], graph.vertices[dst[at]])
+        first = tuple(map(tuple, graph.coords[[src[at], dst[at]]].tolist()))
     return ResidueClassFamily(
-        spec, p, graph.vertices, keys, _tally(keys), _tally(keys[src[inside]]), first
+        spec, p, graph.coords, keys, _tally(keys), _tally(keys[src[inside]]), first
     )
 
 
@@ -229,13 +231,14 @@ def residue_independent_family(
 # -- dominating set for SR -----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SrDominatingSet:
-    """The set D of vertices whose first two coordinates are equal."""
+    """The set D of vertices whose first two coordinates are equal, one
+    read-only (|D|, m) row per member in lexicographic order."""
 
     m: int
     n: int
-    vertices: list[Vertex]
+    coords: np.ndarray
 
     @property
     def spec(self) -> GraphSpec:
@@ -243,7 +246,11 @@ class SrDominatingSet:
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self.coords)
+
+    @property
+    def vertices(self) -> list[Vertex]:
+        return list(map(tuple, self.coords.tolist()))
 
     def predicted_size(self) -> int:
         """Closed form: sum over i of C(n + m - 3 - 2i, m - 3)."""
@@ -256,25 +263,25 @@ class SrDominatingSet:
         """Half of C(n + m - 1, m - 2)."""
         return Fraction(math.comb(self.n + self.m - 1, self.m - 2), 2)
 
-    def witness(self, v: tuple[int, ...]) -> Vertex:
-        """The dominator of v: v itself if v is in D, else the adjacent
-        member of D obtained by equalising the first two coordinates."""
-        v = validate_vertex(self.spec, v)
-        a1, a2 = v[0], v[1]
-        if a1 == a2:
-            return v
-        if a2 > a1:
-            return (a1, a1, v[2] - a1 + a2) + v[3:]
-        return (a2, a2, v[2] - a2 + a1) + v[3:]
+    def witness(self, coords: np.ndarray) -> np.ndarray:
+        """The dominator of each vertex row of coords, as a new (k, m) array:
+        the row itself if it is in D, else the adjacent member of D obtained
+        by lowering the larger of the first two coordinates to the smaller
+        and adding the difference to the third."""
+        low = coords[:, :2].min(axis=1)
+        out = coords.copy()
+        out[:, 2] += coords[:, :2].sum(axis=1) - 2 * low
+        out[:, :2] = low[:, None]
+        return out
 
 
 def dominating_set_sr(m: int, n: int, cap: int | None = None) -> SrDominatingSet:
     if m < 3:
         raise ValueError(f"the equal-pair dominating set needs m >= 3, got m={m}")
-    spec = sr_spec(m, n)
-    check_enum_cap(spec, cap)
-    verts = [v for v in iter_vertices(spec) if v[0] == v[1]]
-    return SrDominatingSet(m, n, verts)
+    coords = indexed_graph(sr_spec(m, n), cap).coords
+    members = coords[coords[:, 0] == coords[:, 1]]
+    members.flags.writeable = False
+    return SrDominatingSet(m, n, members)
 
 
 @dataclass
@@ -300,7 +307,7 @@ def conjectured_dominating_set_sr3(n: int, cap: int | None = None) -> Conjecture
     graph = indexed_graph(sr_spec(3, n), cap)
     candidates = [(i, i, n - 2 * i) for i in range(n // 2 + 1)]
     coords = np.array(candidates, dtype=np.int64)
-    covered = np.zeros(len(graph.vertices), dtype=bool)
+    covered = np.zeros(len(graph.coords), dtype=bool)
     covered[graph.rank(coords)] = True
     covered[graph.neighbour_index(coords)] = True
     return ConjecturedDomination(n, candidates, bool(covered.all()))

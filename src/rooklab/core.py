@@ -1,4 +1,4 @@
-"""Vertex enumeration and adjacency for the two rook-graph families.
+"""Vertex arrays and adjacency for the two rook-graph families.
 
 SR(m, n):  vertices are length-m vectors of nonnegative integers summing
 to n.  CSR(m, n): vertices are length-m vectors over Z_n whose coordinate
@@ -6,11 +6,13 @@ sum is 0 mod n.  In both families two vertices are adjacent exactly when
 they differ in exactly two coordinate positions (the sum constraint then
 forces the two changes to cancel).
 
-Vertices are plain tuples of ints; the canonical order everywhere is the
-tuple's own lexicographic order.  All functions are pure, except that
-`indexed_graph` keeps the last `IndexedGraph` it built in a one-entry cache
-keyed on the frozen `GraphSpec`, so the scans and oracles of one analysis
-share one build.
+The vertices of a spec are the rows of one read-only int64 (N, m) array,
+`IndexedGraph.coords`, built directly in lexicographic order; a vertex given
+or printed on its own is a plain tuple of ints, and `IndexedGraph.vertices`
+is the tuple view of the rows, made on first use.  All functions are pure,
+except that `indexed_graph` keeps the last `IndexedGraph` it built in a
+one-entry cache keyed on the frozen `GraphSpec`, so the scans and oracles of
+one analysis share one build.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -116,46 +118,26 @@ def check_enum_cap(spec: GraphSpec, cap: int | None = None) -> None:
     check_cap(spec, config.enum_cap(cap), "enumeration")
 
 
-def iter_vertices(spec: GraphSpec) -> Iterator[Vertex]:
-    """Yield all vertices in lexicographic order (no cap check)."""
-    if spec.family == SR:
-        yield from _iter_compositions(spec.m, spec.n)
-    else:
-        yield from _iter_csr(spec.m, spec.n)
+def _sr_rows(m: int, n: int) -> np.ndarray:
+    """The weak compositions of n into m parts as rows, in lexicographic
+    order.  Each pass gives every prefix row one child per value 0..left of
+    the next coordinate, in ascending order, where left is the weight the
+    prefix has not placed; the last coordinate takes what is left."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(m - 1):
+        parent = np.repeat(np.arange(len(rows)), left + 1)
+        value = np.arange(len(parent)) - (np.cumsum(left + 1) - (left + 1))[parent]
+        rows = np.column_stack((rows[parent], value))
+        left = left[parent] - value
+    return np.column_stack((rows, left))
 
 
-def _iter_compositions(m: int, n: int) -> Iterator[Vertex]:
-    # weak compositions of n into m parts, lexicographic
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _iter_compositions(m - 1, n - first):
-            yield (first,) + rest
-
-
-def _iter_csr(m: int, n: int) -> Iterator[Vertex]:
-    # free choice of the first m-1 residues fixes the last; lexicographic in
-    # the prefix is lexicographic in the full vector
-    if m == 1:
-        yield (0,)
-        return
-    prefix = [0] * (m - 1)
-    while True:
-        yield tuple(prefix) + ((-sum(prefix)) % n,)
-        i = m - 2
-        while i >= 0 and prefix[i] == n - 1:
-            prefix[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        prefix[i] += 1
-
-
-def enumerate_vertices(spec: GraphSpec, cap: int | None = None) -> list[Vertex]:
-    """All vertices, lexicographically sorted, each exactly once."""
-    check_enum_cap(spec, cap)
-    return list(iter_vertices(spec))
+def _csr_rows(m: int, n: int) -> np.ndarray:
+    """Every free prefix of m - 1 residues in lexicographic order, which is
+    the order of the full vectors, with the last residue it fixes."""
+    prefix = np.indices((n,) * (m - 1), dtype=np.int64).reshape(m - 1, n ** (m - 1)).T
+    return np.column_stack((prefix, -prefix.sum(axis=1) % n))
 
 
 def adjacent(spec: GraphSpec, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
@@ -183,39 +165,22 @@ def _moves(spec: GraphSpec) -> list[tuple[int, int, int]]:
     return [(i, j, d) for i in range(m) for j in range(i + 1, m) for d in range(1, n)]
 
 
-def neighbors(spec: GraphSpec, v: tuple[int, ...]) -> list[Vertex]:
-    """Sorted neighbor list, generated directly (no global enumeration)."""
-    v = validate_vertex(spec, v)
-    out: list[Vertex] = []
-    for i, j, delta in _moves(spec):
-        if spec.family == SR and v[i] < delta:
-            continue
-        w = list(v)
-        w[i] -= delta
-        w[j] += delta
-        if spec.family == CSR:
-            w[i] %= spec.n
-            w[j] %= spec.n
-        out.append(tuple(w))
-    out.sort()
-    return out
-
-
 class IndexedGraph:
-    """The lexicographic vertex list, its (N, m) coordinate array, and each
-    vertex's neighbours as sorted indices into the list.  `rank` gives the
-    index in closed form, so one coordinate move applied to the whole array
-    at once yields a neighbour index per vertex.  Use `indexed_graph`."""
+    """The lexicographic (N, m) vertex array and each vertex's neighbours as
+    sorted indices into it.  `rank` gives the index in closed form, so one
+    coordinate move applied to the whole array at once yields a neighbour
+    index per vertex.  Use `indexed_graph`."""
 
     def __init__(self, spec: GraphSpec) -> None:
         self.spec = spec
-        self.vertices = tuple(iter_vertices(spec))
-        self.coords = np.array(self.vertices, dtype=np.int64).reshape(-1, spec.m)
-        self.coords.flags.writeable = False
         if spec.family == SR:
+            self.coords = _sr_rows(spec.m, spec.n)
             # _binom[r, k] = C(r + k, k): the weak compositions of r into k + 1 parts
             binom = [[math.comb(r + k, k) for k in range(spec.m)] for r in range(spec.n + 1)]
             self._binom = np.array(binom, dtype=np.int64)
+        else:
+            self.coords = _csr_rows(spec.m, spec.n)
+        self.coords.flags.writeable = False
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         """Lexicographic positions of the vertices given as rows of coords."""
@@ -236,10 +201,15 @@ class IndexedGraph:
             left -= coords[:, i]
         return rank
 
+    @functools.cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The rows of coords as tuples, for the small exact searches and
+        per-vertex output."""
+        return tuple(map(tuple, self.coords.tolist()))
+
     def neighbour_index(self, coords: np.ndarray) -> np.ndarray:
         """(len(coords), degree) array; row r lists the neighbour indices of
-        the vertex coords[r] in ascending order, which is the order of
-        `neighbors`."""
+        the vertex coords[r] in ascending order."""
         spec = self.spec
         targets = allocate(np.empty, (len(coords), spec.degree), np.int64, "neighbour-index")
         filled = np.zeros(len(coords), dtype=np.int64)  # columns used so far, per row
@@ -274,12 +244,12 @@ class IndexedGraph:
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as index arrays (u < v), sorted by (u, v)."""
-        upper = self.targets > np.arange(len(self.vertices))[:, None]
+        upper = self.targets > np.arange(len(self.coords))[:, None]
         return np.nonzero(upper)[0], self.targets[upper]
 
     def dense(self, dtype=np.float64) -> np.ndarray:
         """A new dense 0/1 adjacency matrix in vertex order."""
-        mat = allocate(np.zeros, (len(self.vertices),) * 2, dtype, "dense adjacency")
+        mat = allocate(np.zeros, (len(self.coords),) * 2, dtype, "dense adjacency")
         mat[np.arange(len(mat))[:, None], self.targets] = 1
         return mat
 
@@ -297,11 +267,9 @@ def indexed_graph(spec: GraphSpec, cap: int | None = None) -> IndexedGraph:
     return _indexed_graph(spec)
 
 
-def edges(spec: GraphSpec, cap: int | None = None) -> list[tuple[Vertex, Vertex]]:
-    """All edges, smaller endpoint first, sorted; each edge exactly once."""
-    graph = indexed_graph(spec, cap)
-    src, dst = graph.edge_index()
-    return [(graph.vertices[a], graph.vertices[b]) for a, b in zip(src.tolist(), dst.tolist())]
+def enumerate_vertices(spec: GraphSpec, cap: int | None = None) -> list[Vertex]:
+    """All vertices, lexicographically sorted, each exactly once."""
+    return list(indexed_graph(spec, cap).vertices)
 
 
 # -- edge-list text format ----------------------------------------------------
@@ -325,7 +293,7 @@ def write_edge_list(spec: GraphSpec, out: IO[str], cap: int | None = None) -> in
     """Write the canonical edge-list text; returns the number of edges."""
     out.write(f"# family={spec.family} m={spec.m} n={spec.n}\n")
     graph = indexed_graph(spec, cap)
-    labels = [format_vertex(v) for v in graph.vertices]
+    labels = [format_vertex(v) for v in graph.coords.tolist()]
     src, dst = graph.edge_index()
     out.writelines(f"{labels[a]};{labels[b]}\n" for a, b in zip(src.tolist(), dst.tolist()))
     return len(src)

@@ -18,8 +18,8 @@ in all of them.  Each decides exactly as counting every vertex would, so
 the tree, its node count and the cover found stay the same.
 
 The coloring keeps the uncolored vertices in one bitmask per saturation
-level (distinct neighbor colors), so coloring a vertex moves its affected
-neighbors up a level with one mask operation per level.  A vertex at level
+level (distinct neighbor colors), so coloring a vertex moves each affected
+neighbor up a level with one mask operation per level.  A vertex at level
 k would see all k colors and have none left, so a color move that would
 lift a neighbor from level k - 1 is skipped before it is made: the child it
 would open could only fail, and the color arrays found stay the same.
@@ -354,7 +354,7 @@ def all_pairs_distances(spec: GraphSpec) -> tuple[list[Vertex], np.ndarray]:
     """
     check_cap(spec, config.MATRIX_CAP, "matrix")
     graph = indexed_graph(spec)
-    nv = len(graph.vertices)
+    nv = len(graph.coords)
     adjm = graph.dense(np.float32)
     dist = np.full((nv, nv), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)

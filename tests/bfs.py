@@ -3,7 +3,9 @@ check the closed forms and the all-pairs matrix against."""
 
 from collections import deque
 
-from rooklab.core import GraphSpec, Vertex, neighbors, validate_vertex
+from rooklab.core import GraphSpec, Vertex, validate_vertex
+
+from reference import neighbors
 
 
 def oracle_distances(spec: GraphSpec, source: tuple[int, ...]) -> dict[Vertex, int]:

@@ -1,0 +1,71 @@
+"""Tuple-at-a-time vertex enumeration, neighbour lists and edge lists,
+written from the definitions: the references the array builders and
+neighbour indices of `rooklab.core` are tested against."""
+
+from typing import Iterator
+
+from rooklab.core import SR, GraphSpec, Vertex, validate_vertex
+
+
+def iter_vertices(spec: GraphSpec) -> Iterator[Vertex]:
+    """Yield all vertices in lexicographic order."""
+    if spec.family == SR:
+        yield from _iter_compositions(spec.m, spec.n)
+    else:
+        yield from _iter_csr(spec.m, spec.n)
+
+
+def _iter_compositions(m: int, n: int) -> Iterator[Vertex]:
+    # weak compositions of n into m parts, lexicographic
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _iter_compositions(m - 1, n - first):
+            yield (first,) + rest
+
+
+def _iter_csr(m: int, n: int) -> Iterator[Vertex]:
+    # free choice of the first m-1 residues fixes the last; lexicographic in
+    # the prefix is lexicographic in the full vector
+    if m == 1:
+        yield (0,)
+        return
+    prefix = [0] * (m - 1)
+    while True:
+        yield tuple(prefix) + ((-sum(prefix)) % n,)
+        i = m - 2
+        while i >= 0 and prefix[i] == n - 1:
+            prefix[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        prefix[i] += 1
+
+
+def neighbors(spec: GraphSpec, v: tuple[int, ...]) -> list[Vertex]:
+    """Sorted neighbour list of v: every transfer of delta from coordinate i
+    to coordinate j, taken mod n for CSR and kept nonnegative for SR."""
+    v = validate_vertex(spec, v)
+    out: set[Vertex] = set()
+    for i in range(spec.m):
+        for j in range(spec.m):
+            if i == j:
+                continue
+            for delta in range(1, spec.n + 1):
+                w = list(v)
+                w[i] -= delta
+                w[j] += delta
+                if spec.family == SR and w[i] < 0:
+                    break
+                if spec.family != SR:
+                    w[i] %= spec.n
+                    w[j] %= spec.n
+                if tuple(w) != v:
+                    out.add(tuple(w))
+    return sorted(out)
+
+
+def edges(spec: GraphSpec) -> list[tuple[Vertex, Vertex]]:
+    """All edges, smaller endpoint first, sorted; each edge exactly once."""
+    return sorted((v, w) for v in iter_vertices(spec) for w in neighbors(spec, v) if v < w)

@@ -22,7 +22,7 @@ from rooklab.constructions import (
     hamiltonian_cycle_sr,
     residue_independent_family,
 )
-from rooklab.core import csr_spec, edges, sr_spec
+from rooklab.core import csr_spec, sr_spec
 from rooklab.hardness import ThreePartitionInstance, run_reduction
 from rooklab.metrics import (
     bounds_report,
@@ -38,6 +38,7 @@ from rooklab.oracles import (
 from rooklab.spectral import eigenvalues, integer_deviation, lambda_min_check
 
 from descriptors import preserves_adjacency
+from reference import edges
 
 
 def _gate(num: int, description: str, ok: bool, elapsed: float | None = None) -> None:

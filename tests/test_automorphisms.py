@@ -13,11 +13,12 @@ from rooklab.automorphisms import (
     oracle_aut_count,
     outside_hypothesis,
 )
-from rooklab.core import CSR, SR, GraphSpec, csr_spec, edges, enumerate_vertices, sr_spec
+from rooklab.core import CSR, SR, GraphSpec, csr_spec, enumerate_vertices, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.oracles import _bit_graph, _bits
 
 from descriptors import apply_automorphism, identity_descriptor, preserves_adjacency
+from reference import edges
 
 
 def test_identity_fixes_everything():

@@ -17,9 +17,10 @@ from rooklab.constructions import (
     residue_independent_family,
     smallest_prime_at_least,
 )
-from rooklab.core import adjacent, csr_spec, enumerate_vertices, neighbors, sr_spec
+from rooklab.core import adjacent, csr_spec, enumerate_vertices, sr_spec
 from rooklab.oracles import oracle_alpha, oracle_gamma, oracle_omega, verify_cycle
 
+from reference import neighbors
 from residue import residue_key
 
 
@@ -131,7 +132,8 @@ def test_dominating_set_sr32():
     dom = dominating_set_sr(3, 2)
     assert dom.vertices == [(0, 0, 2), (1, 1, 0)]
     assert dom.size == 2 == dom.predicted_size()
-    assert dom.witness((2, 0, 0)) == (0, 0, 2)
+    assert dom.witness(np.array([[2, 0, 0]])).tolist() == [[0, 0, 2]]
+    assert dom.coords.flags.writeable is False
 
 
 def test_dominating_set_rejects_small_m():
@@ -146,8 +148,8 @@ def test_dominating_set_witnesses(m, n):
     members = set(dom.vertices)
     assert dom.size == dom.predicted_size()
     assert dom.size <= dom.size_upper_bound()
-    for v in enumerate_vertices(spec):
-        w = dom.witness(v)
+    verts = enumerate_vertices(spec)
+    for v, w in zip(verts, map(tuple, dom.witness(np.array(verts)).tolist())):
         assert w in members
         assert w == v or adjacent(spec, v, w)
 

@@ -14,9 +14,11 @@ and the residue independent sets were made one result; and the
 `hamiltonian-cycle` rows on SR(3,12), SR(2,11) and SR(6,1) before the cycle
 was built, checked and written as one array; and the `--conjectured`
 `dominating-set` rows before the exact-gamma comparison moved from
-`constructions` into the CLI.  So any change in
-what those commands print or write shows up here.  The distance queries are chosen so that several optimal
-blocks tie, which pins the witness tie-break.  Re-record only for an
+`constructions` into the CLI; and the `dominating-set` rows on SR(5,4),
+SR(3,0) and SR(6,3) before its witness check became one array pass.  So
+any change in what those commands print or write shows up here.  The
+distance queries are chosen so that several optimal blocks tie, which pins
+the witness tie-break.  Re-record only for an
 intended change of output, by running this file with GOLDEN_PRINT set to 1
 (and pytest's -s) and pasting the printed rows.  The `analyze` lines print
 the dense eigensolver's deviation from integers, so their digests hold for
@@ -206,6 +208,24 @@ GOLDEN = [
         "construct dominating-set -m 4 -n 3",
         0,
         "2e673cca75eb4a6c13f7ebcd9486f93418d8582321b01b95c7fe432769b20c88",
+        {},
+    ),
+    (
+        "construct dominating-set -m 5 -n 4",
+        0,
+        "f5bf10f37d15a964968d95b5c5be91df2a131ab4173975466de8966086be5235",
+        {},
+    ),
+    (  # n == 0: the single vertex dominates itself
+        "construct dominating-set -m 3 -n 0",
+        0,
+        "87747a73bac7798c787e4cfa18e60170429a56041986a11c29d741c4c4988137",
+        {},
+    ),
+    (
+        "construct dominating-set -m 6 -n 3 --oracle",
+        0,
+        "2f7d5f00b5fc19c3cb40c62f54eabc933704385f1512ccbb4491d6b7d7a67a4d",
         {},
     ),
     (  # the diagonal set misses gamma: 4 against 3

@@ -1,6 +1,6 @@
-"""IndexedGraph against the definitions it replaces: pairwise `adjacent`,
-per-vertex `neighbors`, list positions, a dense matrix filled from
-`neighbors`, and a pairwise scan of every residue class."""
+"""IndexedGraph against the definitions it replaces: the tuple enumeration,
+pairwise `adjacent`, per-vertex `neighbors`, list positions, a dense matrix
+filled from `neighbors`, and a pairwise scan of every residue class."""
 
 import itertools
 
@@ -18,14 +18,14 @@ from rooklab.core import (
     GraphSpec,
     IndexedGraph,
     adjacent,
-    edges,
+    csr_spec,
     enumerate_vertices,
     indexed_graph,
-    neighbors,
     sr_spec,
 )
 from rooklab.errors import CapExceededError
 
+from reference import iter_vertices, neighbors
 from residue import residue_key
 
 # every spec with at most 300 vertices and m, n <= 12: this takes in m = 1,
@@ -42,7 +42,7 @@ SPECS = [
 @pytest.mark.parametrize("spec", SPECS, ids=GraphSpec.label)
 def test_graph_matches_definitions(spec):
     graph = indexed_graph(spec)
-    verts = enumerate_vertices(spec)
+    verts = list(iter_vertices(spec))
     assert list(graph.vertices) == verts
     assert graph.rank(graph.coords).tolist() == list(range(len(verts)))
     assert graph.targets.shape == (len(verts), spec.degree)
@@ -50,8 +50,28 @@ def test_graph_matches_definitions(spec):
     for i, v in enumerate(verts):
         assert [verts[j] for j in graph.targets[i]] == neighbors(spec, v)
         assert graph.adjacency_bits[i] == sum(1 << index[w] for w in neighbors(spec, v))
-    pairs = {(u, w) for u, w in itertools.combinations(verts, 2) if adjacent(spec, u, w)}
-    assert edges(spec) == sorted(pairs)
+    pairs = [
+        (i, j)
+        for (i, u), (j, w) in itertools.combinations(enumerate(verts), 2)
+        if adjacent(spec, u, w)
+    ]
+    src, dst = graph.edge_index()
+    assert list(zip(src.tolist(), dst.tolist())) == pairs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sr_spec(8, 6), csr_spec(5, 7), sr_spec(1, 7), sr_spec(4, 0), csr_spec(3, 1), csr_spec(1, 4)],
+    ids=GraphSpec.label,
+)
+def test_coords_built_in_order(spec):
+    graph = IndexedGraph(spec)
+    coords = graph.coords
+    assert coords.tolist() == [list(v) for v in iter_vertices(spec)]
+    assert coords.shape == (spec.vertex_count, spec.m)
+    assert coords.dtype == np.int64
+    assert coords.flags.writeable is False
+    assert graph.rank(coords).tolist() == list(range(spec.vertex_count))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=GraphSpec.label)

@@ -14,7 +14,6 @@ from rooklab.core import (
     adjacent,
     csr_spec,
     enumerate_vertices,
-    neighbors,
     sr_spec,
     validate_vertex,
 )
@@ -35,6 +34,7 @@ from rooklab.oracles import (
 )
 
 from bfs import oracle_distances
+from reference import neighbors
 
 
 def test_alpha_sr3_closed_form_small():

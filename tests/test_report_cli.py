@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rooklab
-from rooklab import cli, report, spectral
+from rooklab import cli, constructions, report, spectral
 from rooklab.cli import main
 from rooklab.core import _indexed_graph, csr_spec, sr_spec
 from rooklab.metrics import csr_diameter
@@ -444,6 +444,45 @@ def test_cli_conjectured_enum_cap_keeps_search_cap(capsys):
     )
     assert code == 2
     assert err == "error: SR(3,20) has 231 vertices, over the search cap 200\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (
+            "construct dominating-set -m 4 -n 10 --oracle",
+            "error: SR(4,10) has 286 vertices, over the search cap 200\n",
+        ),
+        (
+            "aut -m 3 -n 12 --count-only --oracle",
+            "error: CSR(3,12) has 144 vertices, over the automorphism search cap 128\n",
+        ),
+    ],
+)
+def test_cli_oracle_over_cap_prints_no_report(argv, err, capsys):
+    assert run_cli(capsys, *argv.split()) == (2, "", err)
+
+
+# SR(4,4) has 35 vertices and |D| = 9; each witness map below breaks one
+# condition of the check: membership of D, equal-or-adjacent, being a vertex
+@pytest.mark.parametrize(
+    "witness,failures",
+    [
+        (lambda dom, coords: coords, 35 - 9),
+        # (0,0,0,4) itself and its 12 neighbours pass
+        (lambda dom, coords: np.broadcast_to(dom.coords[0], coords.shape), 35 - 13),
+        # only the 5 vertices (0,0,a,4-a) keep their coordinate sum
+        (lambda dom, coords: np.column_stack((0 * coords[:, :2], coords[:, 2:])), 35 - 5),
+    ],
+    ids=["identity", "first-member", "zeroed-pair"],
+)
+def test_cli_dominating_set_counts_witness_failures(witness, failures, monkeypatch, capsys):
+    monkeypatch.setattr(constructions.SrDominatingSet, "witness", witness)
+    argv = ("construct", "dominating-set", "-m", "4", "-n", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1] == f"verdict dominates=no witness-failures={failures}"
+    assert run_cli(capsys, *argv, "--strict")[0] == 3
 
 
 def test_cli_aut_count_only(capsys):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from rooklab.core import csr_spec, enumerate_vertices, indexed_graph, neighbors, sr_spec
+from rooklab.core import csr_spec, enumerate_vertices, indexed_graph, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.metrics import hoffman_alpha_bound
 from rooklab.oracles import oracle_alpha
@@ -17,6 +17,8 @@ from rooklab.spectral import (
     integer_deviation,
     lambda_min_check,
 )
+
+from reference import neighbors
 
 
 def complete_graph_spectrum(k):
