@@ -120,17 +120,36 @@ def check_enum_cap(spec: GraphSpec, cap: int | None = None) -> None:
 
 def _sr_rows(m: int, n: int) -> np.ndarray:
     """The weak compositions of n into m parts as rows, in lexicographic
-    order.  Each pass gives every prefix row one child per value 0..left of
-    the next coordinate, in ascending order, where left is the weight the
-    prefix has not placed; the last coordinate takes what is left."""
-    rows = np.zeros((1, 0), dtype=np.int64)
+    order.  Each pass gives every prefix one child per value 0..left of the
+    next coordinate, in ascending order, where left is the weight the prefix
+    has not placed; the last coordinate takes what is left.  The passes keep
+    only each child's parent and value, and the columns are filled from the
+    last back, so each cell of the result is written once."""
     left = np.array([n], dtype=np.int64)
+    passes = []
     for _ in range(m - 1):
-        parent = np.repeat(np.arange(len(rows)), left + 1)
+        parent = np.repeat(np.arange(len(left)), left + 1)
         value = np.arange(len(parent)) - (np.cumsum(left + 1) - (left + 1))[parent]
-        rows = np.column_stack((rows[parent], value))
+        passes.append((parent, value))
         left = left[parent] - value
-    return np.column_stack((rows, left))
+    rows = np.empty((len(left), m), dtype=np.int64)
+    rows[:, -1] = left
+    at = np.arange(len(left))  # each row's prefix at the pass being filled
+    for i in range(m - 2, -1, -1):
+        parent, value = passes[i]
+        rows[:, i] = value[at]
+        at = parent[at]
+    return rows
+
+
+def _binom_table(n: int, m: int) -> np.ndarray:
+    """table[r, k] = C(r + k, k), the weak compositions of r into k + 1
+    parts, for r <= n and k < m.  Column k is the running sum of column
+    k - 1, since C(r + k, k) = sum over j <= r of C(j + k - 1, k - 1)."""
+    table = np.ones((n + 1, m), dtype=np.int64)
+    for k in range(1, m):
+        np.cumsum(table[:, k - 1], out=table[:, k])
+    return table
 
 
 def _csr_rows(m: int, n: int) -> np.ndarray:
@@ -175,9 +194,7 @@ class IndexedGraph:
         self.spec = spec
         if spec.family == SR:
             self.coords = _sr_rows(spec.m, spec.n)
-            # _binom[r, k] = C(r + k, k): the weak compositions of r into k + 1 parts
-            binom = [[math.comb(r + k, k) for k in range(spec.m)] for r in range(spec.n + 1)]
-            self._binom = np.array(binom, dtype=np.int64)
+            self._binom = _binom_table(spec.n, spec.m)
         else:
             self.coords = _csr_rows(spec.m, spec.n)
         self.coords.flags.writeable = False

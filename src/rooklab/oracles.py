@@ -20,9 +20,14 @@ the tree, its node count and the cover found stay the same.
 The coloring keeps the uncolored vertices in one bitmask per saturation
 level (distinct neighbor colors), so coloring a vertex moves each affected
 neighbor up a level with one mask operation per level.  A vertex at level
-k would see all k colors and have none left, so a color move that would
-lift a neighbor from level k - 1 is skipped before it is made: the child it
-would open could only fail, and the color arrays found stay the same.
+k - 1 has one color left, and the saturation order would branch on it next
+with that one choice.  So each search node first colors all of them, one
+pass per color (the level k - 1 vertices that do not see c take c), and
+repeats until level k - 1 is empty; it fails when a pass holds two adjacent
+vertices, which is the only way a vertex can lose its last color.  These
+forced moves reach the same coloring in any order, or fail in every
+order, so the vertex the node then branches on, the branch tree and the
+color arrays found are those of coloring one forced vertex per node.
 
 The Hamiltonian-cycle checker reads adjacency only from its definition
 (two vertices differ in exactly two positions) and tests the whole
@@ -279,11 +284,46 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
         return None
 
     def rec(uncolored: int, max_used: int) -> bool:
-        # level[k] stays empty: a move that would fill it is skipped
+        # every vertex at level k - 1 has one color left and takes it before
+        # anything branches; each pass colors the ones whose last color is
+        # c, until no such vertex is left
+        while level[k - 1]:
+            for c in range(k):
+                seen_c = sees[c]
+                forced = level[k - 1] & ~seen_c
+                if not forced:
+                    continue
+                near = 0
+                rest = forced
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
+                    colors[u] = c
+                    near |= adj[u]
+                    rest ^= low
+                # every other vertex at level k - 1 already sees c, so the
+                # pass leaves a vertex with no color only when two of its
+                # own vertices are adjacent
+                if near & forced:
+                    return False
+                level[k - 1] ^= forced
+                uncolored ^= forced
+                rise = near & uncolored & ~seen_c
+                sees[c] = seen_c | near
+                s = k - 2
+                while rise:
+                    moved = level[s] & rise
+                    if moved:
+                        level[s] ^= moved
+                        level[s + 1] |= moved
+                        rise ^= moved
+                    s -= 1
+                if c > max_used:
+                    max_used = c
         if not uncolored:
             return True
         # saturation order: most distinct neighbor colors first, lowest index
-        top = k - 1
+        top = k - 2
         while not level[top]:
             top -= 1
         bit = level[top] & -level[top]
@@ -291,19 +331,18 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
         level[top] ^= bit
         uncolored ^= bit
         near = adj[v] & uncolored
-        saved = level.copy()
-        last = level[k - 1]
+        # one snapshot serves every branch: a failed child leaves the levels
+        # and sees of its own forced passes behind
+        saved_level = level.copy()
+        saved_sees = sees.copy()
         limit = max_used + 2 if max_used + 2 < k else k  # at most one brand-new color
         for c in range(limit):
             seen_c = sees[c]
             if seen_c & bit:
                 continue
-            # every uncolored neighbor new to color c rises one level; one
-            # rising from level k - 1 would have no color left, so the child
-            # this move opens could only fail
+            # every uncolored neighbor new to color c rises one level; none
+            # reaches level k, since level k - 1 is empty here
             rise = near & ~seen_c
-            if rise & last:
-                continue
             s = top  # no uncolored vertex sits above top
             while rise:
                 moved = level[s] & rise
@@ -316,9 +355,8 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
             sees[c] = seen_c | near
             if rec(uncolored, c if c > max_used else max_used):
                 return True
-            sees[c] = seen_c
-            level[:] = saved
-        level[top] |= bit
+            level[:] = saved_level
+            sees[:] = saved_sees
         return False
 
     if rec(uncolored, len(clique) - 1):

@@ -3,6 +3,7 @@ pairwise `adjacent`, per-vertex `neighbors`, list positions, a dense matrix
 filled from `neighbors`, and a pairwise scan of every residue class."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rooklab.core import (
     SR,
     GraphSpec,
     IndexedGraph,
+    _binom_table,
     adjacent,
     csr_spec,
     enumerate_vertices,
@@ -61,7 +63,10 @@ def test_graph_matches_definitions(spec):
 
 @pytest.mark.parametrize(
     "spec",
-    [sr_spec(8, 6), csr_spec(5, 7), sr_spec(1, 7), sr_spec(4, 0), csr_spec(3, 1), csr_spec(1, 4)],
+    [
+        sr_spec(8, 6), csr_spec(5, 7), sr_spec(1, 7), sr_spec(4, 0), csr_spec(3, 1), csr_spec(1, 4),
+        sr_spec(14, 3), sr_spec(2, 60),
+    ],
     ids=GraphSpec.label,
 )
 def test_coords_built_in_order(spec):
@@ -90,6 +95,14 @@ def test_rank_sr30_4():
     # packed base-(n+1) keys would overflow int64 here; the closed form does not
     graph = IndexedGraph(sr_spec(30, 4))
     assert graph.rank(graph.coords).tolist() == list(range(len(graph.vertices)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 16])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_binom_table_matches_comb(m, n):
+    table = _binom_table(n, m)
+    assert table.shape == (n + 1, m) and table.dtype == np.int64
+    assert table.tolist() == [[math.comb(r + k, k) for k in range(m)] for r in range(n + 1)]
 
 
 def test_arrays_read_only_and_cached():

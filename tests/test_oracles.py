@@ -366,11 +366,12 @@ def test_k_coloring_matches_scan_reference(spec):
         assert (got is not None) == (k == chi)
 
 
-def random_graph(seed):
-    """Adjacency bitmasks of a seeded G(n, p) with n in 8..30."""
+def random_graph(seed, sizes=(8, 30), density=(0.15, 0.85)):
+    """Adjacency bitmasks of a seeded G(n, p), n and p drawn uniformly from
+    the given ranges."""
     rng = random.Random(seed)
-    nv = rng.randint(8, 30)
-    p = rng.uniform(0.15, 0.85)
+    nv = rng.randint(*sizes)
+    p = rng.uniform(*density)
     adj = [0] * nv
     for u, w in itertools.combinations(range(nv), 2):
         if rng.random() < p:
@@ -384,6 +385,69 @@ def test_k_coloring_matches_scan_on_random_graphs(seed):
     # irregular graphs tie saturations in ways the vertex-transitive
     # CERTIFY_CHI graphs do not; every k from the clique size up to chi
     adj = random_graph(seed)
+    nv = len(adj)
+    clique = _max_clique_bits(adj, nv)
+    for k in range(len(clique), nv + 1):
+        got = _k_coloring(adj, k, clique)
+        assert got == scan_k_coloring(adj, nv, k, clique)
+        if got is not None:
+            break
+    assert all(got[u] != got[w] for u in range(nv) for w in _bits(adj[u]))
+
+
+def cycle_graph(nv):
+    return [1 << (u - 1) % nv | 1 << (u + 1) % nv for u in range(nv)]
+
+
+def test_k_coloring_forced_pair_adjacent_at_the_root():
+    # a triangle with only vertex 0 pre-colored, k = 2: vertices 1 and 2
+    # both have color 1 left, and one forced pass would give it to both
+    adj = [0b110, 0b101, 0b011]
+    assert scan_k_coloring(adj, 3, 2, [0]) is None
+    assert _k_coloring(adj, 2, [0]) is None
+    assert _k_coloring(adj, 3, [0]) == scan_k_coloring(adj, 3, 3, [0]) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("nv", [5, 7, 9, 11])
+def test_k_coloring_forced_vertex_loses_its_last_color_in_the_same_round(nv):
+    # an odd cycle at k = 2, edge 0-1 pre-colored: the forced passes walk
+    # both ways round the cycle.  On C5 the pass for color 0 colors vertex 2
+    # and leaves vertex 3 with only color 1, which the pass for color 1 then
+    # gives to its neighbor 4 as well; longer cycles meet a round later
+    adj = cycle_graph(nv)
+    assert scan_k_coloring(adj, nv, 2, [0, 1]) is None
+    assert _k_coloring(adj, 2, [0, 1]) is None
+    got = _k_coloring(adj, 3, [0, 1])
+    assert got == scan_k_coloring(adj, nv, 3, [0, 1])
+
+
+@pytest.mark.parametrize("nv", [4, 6, 10])
+def test_k_coloring_forced_passes_color_an_even_cycle(nv):
+    # every vertex is forced once the edge 0-1 is colored, so the search
+    # never branches
+    adj = cycle_graph(nv)
+    assert _k_coloring(adj, 2, [0, 1]) == scan_k_coloring(adj, nv, 2, [0, 1]) == [
+        u % 2 for u in range(nv)
+    ]
+
+
+@pytest.mark.parametrize("rim", [5, 7])
+def test_k_coloring_odd_wheel_fails_one_color_short(rim):
+    # hub 0 and rim 1..rim: the hub and any rim edge are a maximum clique,
+    # and the hub's color leaves the odd rim two, as on the odd cycle above
+    adj = [((1 << rim) - 1) << 1] + [1 | (c << 1) for c in cycle_graph(rim)]
+    clique = _max_clique_bits(adj, rim + 1)
+    assert len(clique) == 3
+    assert _k_coloring(adj, 3, clique) is None
+    assert scan_k_coloring(adj, rim + 1, 3, clique) is None
+    assert _k_coloring(adj, 4, clique) == scan_k_coloring(adj, rim + 1, 4, clique)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_k_coloring_matches_scan_on_larger_random_graphs(seed):
+    # 30 to 60 vertices at densities that keep chi within a few colors of
+    # the clique size, so the trees run many forced rounds between branches
+    adj = random_graph(seed, (30, 60), (0.05, 0.3))
     nv = len(adj)
     clique = _max_clique_bits(adj, nv)
     for k in range(len(clique), nv + 1):
