@@ -9,7 +9,10 @@ forces the two changes to cancel).
 The vertices of a spec are the rows of one read-only int64 (N, m) array,
 `IndexedGraph.coords`, built directly in lexicographic order; a vertex given
 or printed on its own is a plain tuple of ints, and `IndexedGraph.vertices`
-is the tuple view of the rows, made on first use.  All functions are pure,
+is the tuple view of the rows, made on first use.  A vertex's index is its
+closed-form rank; a neighbour's index is its vertex's rank plus the terms
+the move changes: those of the positions between the two coordinates for
+SR, two base-n digits for CSR.  All functions are pure,
 except that `indexed_graph` keeps the last `IndexedGraph` it built in a
 one-entry cache keyed on the frozen `GraphSpec`, so the scans and oracles of
 one analysis share one build.
@@ -174,49 +177,48 @@ def adjacent(spec: GraphSpec, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return diff == 2
 
 
-def _moves(spec: GraphSpec) -> list[tuple[int, int, int]]:
-    """Every (i, j, delta) taking delta from coordinate i to coordinate j (mod n
-    for CSR).  Each neighbour of v comes from exactly one move that applies
-    to v: for SR the moves with delta <= v[i], for CSR all of them."""
-    m, n = spec.m, spec.n
-    if spec.family == SR:
-        return [(i, j, d) for i in range(m) for j in range(m) if i != j for d in range(1, n + 1)]
-    return [(i, j, d) for i in range(m) for j in range(i + 1, m) for d in range(1, n)]
-
-
 class IndexedGraph:
     """The lexicographic (N, m) vertex array and each vertex's neighbours as
-    sorted indices into it.  `rank` gives the index in closed form, so one
-    coordinate move applied to the whole array at once yields a neighbour
-    index per vertex.  Use `indexed_graph`."""
+    sorted indices into it, derived from the closed-form `rank`.  Use
+    `indexed_graph`."""
 
     def __init__(self, spec: GraphSpec) -> None:
         self.spec = spec
         if spec.family == SR:
             self.coords = _sr_rows(spec.m, spec.n)
-            self._binom = _binom_table(spec.n, spec.m)
+            # _binom[k, L] = C(L - 1 + k, k) for L = 0..n + 1; column L = 0
+            # is r = -1, zero for k >= 1
+            table = _binom_table(spec.n, spec.m)
+            self._binom = np.vstack((np.zeros((1, spec.m), dtype=np.int64), table)).T.copy()
         else:
             self.coords = _csr_rows(spec.m, spec.n)
         self.coords.flags.writeable = False
 
+    def _sr_after(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(left, after), each (m, len(coords)).  left[t] = L_t, n minus a
+        row's first t values.  after[t] = C(L_t - 1 + m - t, m - t) counts
+        the vertices after the row that first differ from it at position
+        t - 1, since they leave 0..L_t - 1 for positions t..; after[0] = 0."""
+        m, n = self.spec.m, self.spec.n
+        left = np.empty((m, len(coords)), dtype=np.int64)
+        left[0] = n
+        np.subtract(n, np.cumsum(coords[:, :-1].T, axis=0), out=left[1:])
+        after = np.zeros_like(left)
+        for t in range(1, m):
+            after[t] = self._binom[m - t][left[t]]
+        return left, after
+
     def rank(self, coords: np.ndarray) -> np.ndarray:
         """Lexicographic positions of the vertices given as rows of coords."""
         m, n = self.spec.m, self.spec.n
-        rank = np.zeros(len(coords), dtype=np.int64)
         if self.spec.family == CSR:
             # base n in the free prefix; the last coordinate is determined
+            rank = np.zeros(len(coords), dtype=np.int64)
             for i in range(m - 1):
                 rank = rank * n + coords[:, i]
             return rank
-        # the vertices that agree with v before i and are smaller at i number
-        # C(r + k, k) - C(r - v_i + k, k), where r is the weight left for
-        # positions i.. and k = m - 1 - i the positions after i
-        left = np.full(len(coords), n, dtype=np.int64)
-        for i in range(m - 1):
-            k = m - 1 - i
-            rank += self._binom[left, k] - self._binom[left - coords[:, i], k]
-            left -= coords[:, i]
-        return rank
+        # N - 1 minus the vertices that follow the row
+        return len(self.coords) - 1 - self._sr_after(coords)[1].sum(axis=0)
 
     @functools.cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -229,21 +231,62 @@ class IndexedGraph:
         the vertex coords[r] in ascending order."""
         spec = self.spec
         targets = allocate(np.empty, (len(coords), spec.degree), np.int64, "neighbour-index")
-        filled = np.zeros(len(coords), dtype=np.int64)  # columns used so far, per row
-        for i, j, delta in _moves(spec):
-            if spec.family == SR:
-                rows = np.flatnonzero(coords[:, i] >= delta)
-            else:
-                rows = np.arange(len(coords))
-            moved = coords[rows]
-            moved[:, i] -= delta
-            moved[:, j] += delta
-            if spec.family == CSR:
-                moved %= spec.n
-            targets[rows, filled[rows]] = self.rank(moved)
-            filled[rows] += 1
+        if spec.family == SR:
+            self._sr_neighbours(coords, targets)
+        else:
+            self._csr_neighbours(coords, targets)
         targets.sort(axis=1)
         return targets
+
+    def _sr_neighbours(self, coords: np.ndarray, targets: np.ndarray) -> None:
+        """Fill targets with the SR neighbour ranks, unsorted.  Moving delta
+        from position i to position j shifts L_t by s for t in
+        (min(i, j), max(i, j)], where s = delta if i < j and -delta if
+        j < i, and leaves every other L_t alone.  So the rank changes by the
+        sum over those t of after[t] - C(L_t + s - 1 + m - t, m - t), and
+        walking j away from i adds one term per step."""
+        m, n = self.spec.m, self.spec.n
+        left, after = self._sr_after(coords)
+        rank = len(self.coords) - 1 - after.sum(axis=0)
+        out = targets.reshape(-1)
+        for i in range(m):
+            # one entry per move out of i: its row and delta = 1..v_i
+            count = coords[:, i]
+            rows = np.repeat(np.arange(len(coords)), count)
+            delta = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(count) - count, count)
+            # a row's moves out of positions before i fill its first
+            # (n - L_i)(m - 1) columns; a move to j takes slot t - 1 of its
+            # block, where t = j going up and t = j + 1 going down
+            block = rows * targets.shape[1] + (m - 1) * (n - left[i][rows] + delta - 1) - 1
+            for steps, shift in ((range(i + 1, m), delta), (range(i, 0, -1), -delta)):
+                moved = rank[rows]
+                for t in steps:
+                    moved += after[t][rows]
+                    moved -= self._binom[m - t][left[t][rows] + shift]
+                    out[block + t] = moved
+
+    def _csr_neighbours(self, coords: np.ndarray, targets: np.ndarray) -> None:
+        """Fill targets with the CSR neighbour ranks, unsorted.  The rank is
+        base n over the free prefix, so a move of delta from position i to
+        position j (i < j) changes two digits mod n with no carry: it adds
+        ((x_i - delta) mod n - x_i) w_i + ((x_j + delta) mod n - x_j) w_j,
+        where w_i = n^(m - 2 - i) and the last position weighs 0."""
+        m, n = self.spec.m, self.spec.n
+        weight = np.append(n ** np.arange(m - 2, -1, -1, dtype=np.int64), 0)
+        # the digit changes as tables over (x, delta - 1)
+        x = np.arange(n)[:, None]
+        delta = np.arange(1, n)
+        down, up = (x - delta) % n - x, (x + delta) % n - x
+        rank = self.rank(coords)[:, None, None]
+        column = 0
+        for i in range(m - 1):
+            # every move out of i at once: axis 1 is j > i, axis 2 is delta
+            moved = up[coords[:, i + 1:]]
+            moved *= weight[i + 1:, None]
+            moved += rank + down[coords[:, i]][:, None] * weight[i]
+            width = (m - 1 - i) * (n - 1)
+            targets[:, column:column + width] = moved.reshape(len(coords), width)
+            column += width
 
     @functools.cached_property
     def targets(self) -> np.ndarray:
@@ -312,7 +355,14 @@ def write_edge_list(spec: GraphSpec, out: IO[str], cap: int | None = None) -> in
     graph = indexed_graph(spec, cap)
     labels = [format_vertex(v) for v in graph.coords.tolist()]
     src, dst = graph.edge_index()
-    out.writelines(f"{labels[a]};{labels[b]}\n" for a, b in zip(src.tolist(), dst.tolist()))
+    # src is sorted, so each source's edges are one run of dst: one block
+    dst_labels = [labels[b] for b in dst.tolist()]
+    end = 0
+    for a, count in enumerate(np.bincount(src, minlength=len(labels)).tolist()):
+        if count:
+            prefix = labels[a] + ";"
+            out.write(prefix + ("\n" + prefix).join(dst_labels[end:end + count]) + "\n")
+            end += count
     return len(src)
 
 

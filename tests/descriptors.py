@@ -1,8 +1,11 @@
-"""Descriptor maps applied one vertex and one edge at a time: the reference
-the tests check the parametrized CSR automorphisms against."""
+"""Descriptor maps applied one vertex at a time, and to every edge of an
+edge array at once: the reference the tests check the parametrized CSR
+automorphisms against."""
+
+import numpy as np
 
 from rooklab.automorphisms import AutDescriptor
-from rooklab.core import GraphSpec, Vertex, adjacent, csr_spec, validate_vertex
+from rooklab.core import Vertex, csr_spec, validate_vertex
 
 
 def identity_descriptor(m: int, n: int) -> AutDescriptor:
@@ -16,16 +19,16 @@ def apply_automorphism(desc: AutDescriptor, x: tuple[int, ...]) -> Vertex:
     return tuple((desc.c * x[desc.sigma[i]] + desc.d[i]) % desc.n for i in range(len(x)))
 
 
-def preserves_adjacency(desc: AutDescriptor, spec: GraphSpec, edges) -> bool:
-    """Full scan: every given edge maps to an edge.  The image of each vertex
-    is computed once; adjacency of images is then a plain coordinate check."""
-    images: dict[Vertex, Vertex] = {}
-    sigma, c, d, n = desc.sigma, desc.c, desc.d, desc.n
-    m = len(sigma)
-    for a, b in edges:
-        for v in (a, b):
-            if v not in images:
-                images[v] = tuple((c * v[sigma[i]] + d[i]) % n for i in range(m))
-        if not adjacent(spec, images[a], images[b]):
-            return False
-    return True
+def edge_array(edge_list) -> np.ndarray:
+    """The vertex-tuple pairs of edge_list as one (E, 2, m) int64 array, to
+    build once per graph and check every descriptor against."""
+    return np.array(edge_list, dtype=np.int64).reshape(len(edge_list), 2, -1)
+
+
+def preserves_adjacency(desc: AutDescriptor, edges: np.ndarray) -> bool:
+    """Full scan: every edge of the (E, 2, m) array maps to an edge.  Both
+    ends of every edge are mapped in one array operation, and each image
+    pair must differ in exactly two coordinates, the definition of
+    adjacency."""
+    images = (desc.c * edges[:, :, list(desc.sigma)] + np.array(desc.d)) % desc.n
+    return bool(((images[:, 0] != images[:, 1]).sum(axis=1) == 2).all())

@@ -1,10 +1,13 @@
 """Tuple-at-a-time vertex enumeration, neighbour lists and edge lists,
-written from the definitions: the references the array builders and
-neighbour indices of `rooklab.core` are tested against."""
+written from the definitions, and the per-move neighbour-index builder: the
+references the array builders, neighbour indices and edge-list writer of
+`rooklab.core` are tested against."""
 
-from typing import Iterator
+from typing import IO, Iterator
 
-from rooklab.core import SR, GraphSpec, Vertex, validate_vertex
+import numpy as np
+
+from rooklab.core import SR, GraphSpec, IndexedGraph, Vertex, format_vertex, validate_vertex
 
 
 def iter_vertices(spec: GraphSpec) -> Iterator[Vertex]:
@@ -69,3 +72,44 @@ def neighbors(spec: GraphSpec, v: tuple[int, ...]) -> list[Vertex]:
 def edges(spec: GraphSpec) -> list[tuple[Vertex, Vertex]]:
     """All edges, smaller endpoint first, sorted; each edge exactly once."""
     return sorted((v, w) for v in iter_vertices(spec) for w in neighbors(spec, v) if v < w)
+
+
+def write_edge_list(spec: GraphSpec, out: IO[str]) -> int:
+    """The edge-list text of `edges`, one line per edge."""
+    edge_list = edges(spec)
+    out.write(f"# family={spec.family} m={spec.m} n={spec.n}\n")
+    for a, b in edge_list:
+        out.write(f"{format_vertex(a)};{format_vertex(b)}\n")
+    return len(edge_list)
+
+
+def neighbour_index(graph: IndexedGraph, coords: np.ndarray) -> np.ndarray:
+    """Sorted neighbour indices of the rows of coords, one move at a time.
+    A move (i, j, delta) takes delta from coordinate i to coordinate j (mod
+    n for CSR).  Each neighbour of v comes from exactly one move that applies
+    to v: for SR the moves with delta <= v[i], for CSR all of them.  Every
+    move copies the rows it applies to, moves them and ranks them over all
+    m columns with `graph.rank`."""
+    spec = graph.spec
+    m, n = spec.m, spec.n
+    if spec.family == SR:
+        moves = [(i, j, d) for i in range(m) for j in range(m) if i != j for d in range(1, n + 1)]
+    else:
+        moves = [(i, j, d) for i in range(m) for j in range(i + 1, m) for d in range(1, n)]
+    targets = np.empty((len(coords), spec.degree), dtype=np.int64)
+    filled = np.zeros(len(coords), dtype=np.int64)  # columns used so far, per row
+    for i, j, delta in moves:
+        if spec.family == SR:
+            rows = np.flatnonzero(coords[:, i] >= delta)
+        else:
+            rows = np.arange(len(coords))
+        moved = coords[rows]
+        moved[:, i] -= delta
+        moved[:, j] += delta
+        if spec.family != SR:
+            moved %= n
+        targets[rows, filled[rows]] = graph.rank(moved)
+        filled[rows] += 1
+    assert (filled == spec.degree).all()
+    targets.sort(axis=1)
+    return targets

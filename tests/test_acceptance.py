@@ -37,7 +37,7 @@ from rooklab.oracles import (
 )
 from rooklab.spectral import eigenvalues, integer_deviation, lambda_min_check
 
-from descriptors import preserves_adjacency
+from descriptors import edge_array, preserves_adjacency
 from reference import edges
 
 
@@ -129,11 +129,11 @@ def test_c06_csr44_automorphism_group():
     spec = csr_spec(4, 4)
     expected = group_order_formula(4, 4)
     ok = expected == 3072
-    edge_list = edges(spec)
+    edge_list = edge_array(edges(spec))
     count = 0
     for desc in enumerate_group(4, 4):
         count += 1
-        ok &= preserves_adjacency(desc, spec, edge_list)
+        ok &= preserves_adjacency(desc, edge_list)
     ok &= count == expected
     ok &= oracle_aut_count(spec) == expected
     elapsed = time.monotonic() - start

@@ -17,7 +17,7 @@ from rooklab.core import CSR, SR, GraphSpec, csr_spec, enumerate_vertices, sr_sp
 from rooklab.errors import CapExceededError
 from rooklab.oracles import _bit_graph, _bits
 
-from descriptors import apply_automorphism, identity_descriptor, preserves_adjacency
+from descriptors import apply_automorphism, edge_array, identity_descriptor, preserves_adjacency
 from reference import edges
 
 
@@ -31,7 +31,14 @@ def test_coordinate_swap_on_csr42():
     desc = AutDescriptor(2, (1, 0, 2, 3), 1, (0, 0, 0, 0))
     assert apply_automorphism(desc, (1, 1, 0, 0)) == (1, 1, 0, 0)
     assert apply_automorphism(desc, (1, 0, 1, 0)) == (0, 1, 1, 0)
-    assert preserves_adjacency(desc, csr_spec(4, 2), edges(csr_spec(4, 2)))
+    assert preserves_adjacency(desc, edge_array(edges(csr_spec(4, 2))))
+
+
+def test_preserves_adjacency_rejects_a_non_edge():
+    # the identity maps a non-adjacent pair to itself, so the scan must fail
+    spec = csr_spec(4, 2)
+    non_edge = [((0, 0, 0, 0), (1, 1, 1, 1))]
+    assert not preserves_adjacency(identity_descriptor(4, 2), edge_array(edges(spec) + non_edge))
 
 
 def test_descriptor_validation():
@@ -45,7 +52,7 @@ def test_descriptor_validation():
 
 def test_apply_produces_valid_vertices_and_preserves_adjacency():
     spec = csr_spec(3, 3)
-    edge_list = edges(spec)
+    edge_list = edge_array(edges(spec))
     samples = [
         AutDescriptor(3, (2, 0, 1), 2, (1, 2, 0)),
         AutDescriptor(3, (1, 2, 0), 1, (2, 2, 2)),
@@ -54,7 +61,7 @@ def test_apply_produces_valid_vertices_and_preserves_adjacency():
     for desc in samples:
         images = {v: apply_automorphism(desc, v) for v in enumerate_vertices(spec)}
         assert sorted(images.values()) == enumerate_vertices(spec)  # bijective
-        assert preserves_adjacency(desc, spec, edge_list)
+        assert preserves_adjacency(desc, edge_list)
 
 
 def test_euler_phi():

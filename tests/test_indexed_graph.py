@@ -1,7 +1,9 @@
 """IndexedGraph against the definitions it replaces: the tuple enumeration,
-pairwise `adjacent`, per-vertex `neighbors`, list positions, a dense matrix
-filled from `neighbors`, and a pairwise scan of every residue class."""
+pairwise `adjacent`, per-vertex `neighbors`, list positions, the per-move
+neighbour index, a dense matrix filled from `neighbors`, the edge-list text
+of `edges`, and a pairwise scan of every residue class."""
 
+import io
 import itertools
 import math
 
@@ -24,9 +26,11 @@ from rooklab.core import (
     enumerate_vertices,
     indexed_graph,
     sr_spec,
+    write_edge_list,
 )
 from rooklab.errors import CapExceededError
 
+import reference
 from reference import iter_vertices, neighbors
 from residue import residue_key
 
@@ -77,6 +81,63 @@ def test_coords_built_in_order(spec):
     assert coords.dtype == np.int64
     assert coords.flags.writeable is False
     assert graph.rank(coords).tolist() == list(range(spec.vertex_count))
+
+
+# beyond SPECS: up to 4,096 vertices, long and short vectors, and m = 1
+LARGER = [
+    sr_spec(7, 9), sr_spec(7, 7), sr_spec(12, 4), sr_spec(14, 3), sr_spec(3, 40), sr_spec(2, 60),
+    sr_spec(1, 5), csr_spec(7, 4), csr_spec(4, 12), csr_spec(6, 5), csr_spec(5, 2),
+    csr_spec(2, 9), csr_spec(3, 1), csr_spec(1, 4),
+]
+
+
+@pytest.mark.parametrize("spec", LARGER, ids=GraphSpec.label)
+def test_neighbour_index_matches_per_move_builder(spec):
+    graph = IndexedGraph(spec)
+    assert graph.rank(graph.coords).tolist() == list(range(spec.vertex_count))
+    for rows in (graph.coords, graph.coords[1::3], graph.coords[::-7]):
+        expected = reference.neighbour_index(graph, rows)
+        got = graph.neighbour_index(rows)
+        assert got.shape == expected.shape == (len(rows), spec.degree)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "spec", [sr_spec(5, 6), sr_spec(3, 40), sr_spec(12, 4), sr_spec(2, 1)], ids=GraphSpec.label
+)
+def test_neighbour_index_of_moves_that_empty_a_coordinate(spec):
+    # rows with all their weight in one or two coordinates: moving all of v_i
+    # backwards leaves L_t = 0 after the move, which reads the r = -1 row of
+    # the binomial table
+    m, n = spec.m, spec.n
+    corners = [[n if k == i else 0 for k in range(m)] for i in range(m)]
+    pairs = [
+        [a if k == 0 else n - a if k == i else 0 for k in range(m)]
+        for i in range(1, m)
+        for a in range(n + 1)
+    ]
+    rows = np.array(corners + pairs, dtype=np.int64)
+    graph = IndexedGraph(spec)
+    assert np.array_equal(graph.neighbour_index(rows), reference.neighbour_index(graph, rows))
+    assert np.array_equal(graph.rank(rows), [graph.vertices.index(tuple(r)) for r in rows.tolist()])
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=GraphSpec.label)
+def test_edge_list_text_matches_reference(spec):
+    got, expected = io.StringIO(), io.StringIO()
+    count = write_edge_list(spec, got)
+    assert count == reference.write_edge_list(spec, expected)
+    assert got.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "spec", [sr_spec(1, 9), csr_spec(1, 6), sr_spec(4, 0), csr_spec(3, 1)], ids=GraphSpec.label
+)
+def test_edge_list_of_a_graph_without_edges(spec):
+    # one vertex, whose source block is empty: the text is the header alone
+    out = io.StringIO()
+    assert write_edge_list(spec, out) == 0
+    assert out.getvalue() == f"# family={spec.family} m={spec.m} n={spec.n}\n"
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=GraphSpec.label)
