@@ -30,6 +30,10 @@ EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_DISCREPANCY = 3
 
+# `construct hamiltonian-cycle --out` formats this many rows per write, so the
+# Python ints and text of only one block are alive at a time
+CYCLE_BLOCK_ROWS = 4096
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -220,7 +224,9 @@ def _cmd_hamiltonian(args) -> int:
     if args.out:
         line = ",".join(["%d"] * args.m) + "\n"
         with open(args.out, "w") as out:
-            out.write(line * cycle.length % tuple(cycle.coords.ravel().tolist()))
+            for start in range(0, cycle.length, CYCLE_BLOCK_ROWS):
+                block = cycle.coords[start : start + CYCLE_BLOCK_ROWS]
+                out.write(line * len(block) % tuple(block.ravel().tolist()))
         print(f"wrote cycle path={args.out}")
     if not verdict.valid:
         return EXIT_DISCREPANCY if args.strict else EXIT_USAGE

@@ -11,8 +11,10 @@ first two coordinates.  It is not verified here but by `construct
 dominating-set`, which maps every vertex to its witness in one array pass
 and counts the witnesses that are not members of D equal or adjacent to
 their vertex.  The recursive Hamiltonian cycle is one read-only (N, m)
-array from construction to output, each slice a memoised sub-path array
-reversed, and is checked by `oracles.verify_cycle`.
+array of `np.min_scalar_type(n)` (uint8 for n <= 255, uint16 beyond) from
+construction to output, each slice a memoised sub-path array reversed.  It
+is checked in that dtype by `oracles.verify_cycle` and written a block of
+rows at a time by `construct hamiltonian-cycle --out`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     GraphSpec,
     Vertex,
     adjacent,
+    allocate,
     check_enum_cap,
     format_vertex,
     indexed_graph,
@@ -319,8 +322,9 @@ def conjectured_dominating_set_sr3(n: int, cap: int | None = None) -> Conjecture
 @dataclass(frozen=True, eq=False)
 class HamiltonianCycle:
     """A Hamiltonian cycle as an open vertex sequence (closure implied), one
-    read-only (N, m) row per vertex, guaranteed to traverse the anchor edge
-    (n,0,...,0)-(n-1,1,0,...,0)."""
+    read-only (N, m) row per vertex in the narrowest unsigned dtype that
+    holds n (`np.min_scalar_type(n)`), guaranteed to traverse the anchor
+    edge (n,0,...,0)-(n-1,1,0,...,0)."""
 
     m: int
     n: int
@@ -349,8 +353,9 @@ def anchor_edge(m: int, n: int) -> tuple[Vertex, Vertex]:
     return (n,) + (0,) * (m - 1), (n - 1, 1) + (0,) * (m - 2)
 
 
-def _ham_path(m: int, k: int, memo: dict) -> np.ndarray:
-    """Hamiltonian path of SR(m, k) from (k,0,...,0) to (k-1,1,0,...,0).
+def _ham_path(m: int, k: int, dtype: np.dtype, memo: dict) -> np.ndarray:
+    """Hamiltonian path of SR(m, k) from (k,0,...,0) to (k-1,1,0,...,0), as
+    rows of dtype.
 
     Exists for m == 2, k >= 1 (complete graph) and for all m >= 3, k >= 1.
     """
@@ -358,21 +363,21 @@ def _ham_path(m: int, k: int, memo: dict) -> np.ndarray:
     if key in memo:
         return memo[key]
     if m == 2:
-        first = np.r_[k, 0:k]
+        first = np.r_[k, 0:k].astype(dtype)
         path = np.column_stack((first, k - first))
     elif k == 1:
-        path = np.eye(m, dtype=np.int64)[np.r_[0, m - 1 : 0 : -1]]
+        path = np.eye(m, dtype=dtype)[np.r_[0, m - 1 : 0 : -1]]
     else:
-        cycle = _ham_cycle(m, k, memo)
+        cycle = _ham_cycle(m, k, dtype, memo)
         # the anchor edge sits at rows 0-1; cut it and walk the other way
         path = np.concatenate((cycle[:1], cycle[:0:-1]))
     memo[key] = path
     return path
 
 
-def _ham_cycle(m: int, n: int, memo: dict) -> np.ndarray:
-    """Hamiltonian cycle of SR(m, n) for m >= 3, n >= 2; the anchor edge is
-    the first consecutive pair of the returned rows.
+def _ham_cycle(m: int, n: int, dtype: np.dtype, memo: dict) -> np.ndarray:
+    """Hamiltonian cycle of SR(m, n) for m >= 3, n >= 2, as rows of dtype;
+    the anchor edge is the first consecutive pair of the returned rows.
 
     Per slice of fixed first coordinate n-k the recursion lays down the
     sub-path for SR(m-1, k) reversed; consecutive slices join through the
@@ -380,11 +385,12 @@ def _ham_cycle(m: int, n: int, memo: dict) -> np.ndarray:
     the chain, and a final swap of coordinates 2 and 3 moves the closing
     edge onto the anchor.
     """
-    cycle = np.zeros((math.comb(n + m - 1, m - 1), m), dtype=np.int64)
+    shape = (math.comb(n + m - 1, m - 1), m)
+    cycle = allocate(np.zeros, shape, dtype, "Hamiltonian cycle")
     cycle[0, 0] = n
     start = 1
     for k in range(1, n + 1):
-        sub = _ham_path(m - 1, k, memo)
+        sub = _ham_path(m - 1, k, dtype, memo)
         rows = slice(start, start + len(sub))
         cycle[rows, 0] = n - k
         cycle[rows, 1:] = sub[::-1]
@@ -394,7 +400,8 @@ def _ham_cycle(m: int, n: int, memo: dict) -> np.ndarray:
 
 
 def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> HamiltonianCycle:
-    """Build the recursive Hamiltonian cycle of SR(m, n).
+    """Build the recursive Hamiltonian cycle of SR(m, n), in the narrowest
+    unsigned dtype that holds n.
 
     Rejects the graphs that have no Hamiltonian cycle: m == 1 or n == 0
     (single vertex) and (m, n) == (2, 1) (a single edge); `cap` bounds the
@@ -407,13 +414,16 @@ def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> HamiltonianC
     if (m, n) == (2, 1):
         raise ValueError("no Hamiltonian cycle: SR(2,1) is a single edge")
     check_enum_cap(sr_spec(m, n), cap)
+    dtype = np.min_scalar_type(n)
     if m == 2:
-        first = np.arange(n, -1, -1)
-        cycle = np.column_stack((first, n - first))
+        cycle = allocate(np.zeros, (n + 1, 2), dtype, "Hamiltonian cycle")
+        cycle[:, 1] = np.arange(n + 1)
+        cycle[:, 0] = n - cycle[:, 1]
     elif n == 1:
-        cycle = np.eye(m, dtype=np.int64)
+        cycle = allocate(np.zeros, (m, m), dtype, "Hamiltonian cycle")
+        np.fill_diagonal(cycle, 1)
     else:
-        cycle = _ham_cycle(m, n, {})
+        cycle = _ham_cycle(m, n, dtype, {})
     cycle.flags.writeable = False
     return HamiltonianCycle(m, n, cycle)
 

@@ -31,8 +31,9 @@ color arrays found are those of coloring one forced vertex per node.
 
 The Hamiltonian-cycle checker reads adjacency only from its definition
 (two vertices differ in exactly two positions) and tests the whole
-(N, m) array at once: vertex conditions per row, repeats by sorting the
-rows, and the positions that differ between each row and the next.
+(N, m) array at once, in the caller's integer dtype: vertex conditions per
+row, repeats by sorting the rows, and the positions that differ between
+each row and the next.
 """
 
 from __future__ import annotations
@@ -436,16 +437,16 @@ def verify_cycle(
     rows = _cycle_rows(spec, cycle)
     if isinstance(rows, CycleVerdict):
         return rows
-    ordered = rows[np.lexsort(rows.T)]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    if _has_repeat(rows):
         return CycleVerdict(False, "duplicate vertex")
     if len(rows) != spec.vertex_count:
         return CycleVerdict(
             False, f"cycle covers {len(rows)} of {spec.vertex_count} vertices"
         )
-    steps = (rows != np.roll(rows, -1, axis=0)).sum(axis=1)
-    if (steps != 2).any():
-        at = int(np.argmax(steps != 2))
+    # position i is the step from row i to row i + 1; the last is the wrap
+    apart = np.flatnonzero(np.count_nonzero(rows[1:] != rows[:-1], axis=1) != 2)
+    if len(apart) or np.count_nonzero(rows[-1] != rows[0]) != 2:
+        at = int(apart[0]) if len(apart) else len(rows) - 1
         return CycleVerdict(False, f"consecutive vertices not adjacent at position {at}")
     if required_edge is not None:
         a, b = (_row_of(rows, v) for v in required_edge)
@@ -455,10 +456,10 @@ def verify_cycle(
 
 
 def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | CycleVerdict:
-    """The entries as an (N, m) int64 array, or the verdict naming the first
-    entry that is not a vertex, with `validate_vertex`'s reason.  Entries
-    that do not form an integer array (ragged, non-integer) are checked one
-    by one."""
+    """The entries as an (N, m) integer array, in the caller's dtype when they
+    already form one, or the verdict naming the first entry that is not a
+    vertex, with `validate_vertex`'s reason.  Entries that do not form an
+    integer array (ragged, non-integer) are checked one by one."""
     try:
         rows = np.asarray(cycle)
     except (TypeError, ValueError, OverflowError):
@@ -471,7 +472,6 @@ def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | CycleVerdict:
             except (TypeError, ValueError) as exc:
                 return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
         return np.array(seq, dtype=np.int64)
-    rows = rows.astype(np.int64, copy=False)
     n = spec.n
     if spec.family == SR:  # coordinates within 0..n keep the row sums exact
         bad = ((rows < 0) | (rows > n)).any(axis=1) | (rows.sum(axis=1) != n)
@@ -484,6 +484,16 @@ def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | CycleVerdict:
         except ValueError as exc:
             return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
     return rows
+
+
+def _has_repeat(rows: np.ndarray) -> bool:
+    """Whether two rows are equal, found by sorting the rows and comparing
+    each with the next one column at a time."""
+    ordered = rows[np.lexsort(rows.T)]
+    same = np.ones(len(rows) - 1, dtype=bool)
+    for column in ordered.T:
+        same &= column[1:] == column[:-1]
+    return bool(same.any())
 
 
 def _row_of(rows: np.ndarray, v: tuple[int, ...]) -> int:

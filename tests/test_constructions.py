@@ -18,6 +18,7 @@ from rooklab.constructions import (
     smallest_prime_at_least,
 )
 from rooklab.core import adjacent, csr_spec, enumerate_vertices, sr_spec
+from rooklab.errors import CapExceededError
 from rooklab.oracles import oracle_alpha, oracle_gamma, oracle_omega, verify_cycle
 
 from reference import neighbors
@@ -257,7 +258,7 @@ def tuple_hamiltonian_cycle(m, n):
 )
 def test_hamiltonian_array_matches_tuple_reference(m, n):
     cycle = hamiltonian_cycle_sr(m, n)
-    assert cycle.coords.dtype == np.int64 and not cycle.coords.flags.writeable
+    assert cycle.coords.dtype == np.min_scalar_type(n) and not cycle.coords.flags.writeable
     assert cycle.coords.tolist() == [list(v) for v in tuple_hamiltonian_cycle(m, n)]
     assert cycle.vertices == tuple(tuple_hamiltonian_cycle(m, n))
     assert cycle.length == cycle.spec.vertex_count
@@ -266,6 +267,17 @@ def test_hamiltonian_array_matches_tuple_reference(m, n):
 @pytest.mark.parametrize("m,n,msg", [(2, 1, "single edge"), (1, 5, "single vertex"), (3, 0, "single vertex")])
 def test_hamiltonian_excluded(m, n, msg):
     with pytest.raises(ValueError, match=msg):
+        hamiltonian_cycle_sr(m, n)
+
+
+@pytest.mark.parametrize("m,n,shape", [(3, 4, r"\(15, 3\)"), (2, 5, r"\(6, 2\)"), (5, 1, r"\(5, 5\)")])
+def test_hamiltonian_out_of_memory_is_cap_error(monkeypatch, m, n, shape):
+    # the recursion, the m = 2 branch and the n = 1 branch
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(CapExceededError, match=rf"^the Hamiltonian cycle array of shape {shape} "):
         hamiltonian_cycle_sr(m, n)
 
 

@@ -293,6 +293,45 @@ def test_verify_cycle_names_bad_entries_without_raising():
     assert not scalar.valid and scalar.reason.startswith("invalid vertex at position 2: ")
 
 
+# a Hamiltonian path of SR(3,2) whose ends (0,1,1) and (2,0,0) differ in all
+# three coordinates, so only its wrap pair is not an edge
+OPEN_PATH_SR32 = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2), (1, 0, 1), (0, 1, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_verify_cycle_on_narrow_rows_matches_int64(dtype):
+    cycle = hamiltonian_cycle_sr(4, 3)
+    spec, rows = cycle.spec, cycle.coords.astype(dtype)
+    first = tuple(rows[0].tolist())
+    repeated = rows.copy()
+    repeated[7] = rows[3]
+    open_path = np.array(OPEN_PATH_SR32, dtype=dtype)
+    not_adjacent = "consecutive vertices not adjacent at position"
+    missing = "required edge missing from cycle"
+    cases = [
+        ("valid", spec, rows, cycle.anchor_edge, None),
+        ("repeated", spec, repeated, cycle.anchor_edge, "duplicate vertex"),
+        ("interior", sr_spec(3, 2), np.roll(open_path, 2, axis=0), None, f"{not_adjacent} 1"),
+        ("wrap", sr_spec(3, 2), open_path, None, f"{not_adjacent} 5"),
+        ("missing-edge", spec, rows, (first, tuple(rows[2].tolist())), missing),
+        ("edge-below-dtype", spec, rows, (first, (-1, 2, 1, 1)), missing),
+        ("edge-above-dtype", spec, rows, ((300, 0, 0, 0), first), missing),
+    ]
+    for name, spec, narrow, edge, reason in cases:
+        assert narrow.dtype == dtype, name
+        verdict = verify_cycle(spec, narrow, edge)
+        assert verdict == CycleVerdict(reason is None, reason), name
+        assert verify_cycle(spec, narrow.astype(np.int64), edge) == verdict, name
+
+
+def test_verify_cycle_on_uint16_rows():
+    cycle = hamiltonian_cycle_sr(3, 256)  # coordinates up to 256 need uint16
+    assert cycle.coords.dtype == np.uint16
+    verdict = verify_cycle(cycle.spec, cycle.coords, cycle.anchor_edge)
+    assert verdict == CycleVerdict(True, None)
+    assert verify_cycle(cycle.spec, cycle.coords.astype(np.int64), cycle.anchor_edge) == verdict
+
+
 def test_search_caps():
     with pytest.raises(CapExceededError, match=r"^SR\(4,20\) has 1771 vertices, over the search cap 200$"):
         oracle_alpha(sr_spec(4, 20))

@@ -295,6 +295,52 @@ def test_cli_construct_hamiltonian_export(tmp_path, capsys):
     assert len(path.read_text().splitlines()) == 6
 
 
+@pytest.mark.parametrize("m,n", [(5, 12), (2, 4095), (2, 4096), (8, 10)])
+def test_cli_hamiltonian_blocks_match_one_shot_text(tmp_path, capsys, m, n):
+    # 1,820 rows; exactly one block; one row past it, as uint16; 19,448 rows
+    assert cli.CYCLE_BLOCK_ROWS == 4096
+    path = tmp_path / "cycle.txt"
+    code, out, _ = run_cli(
+        capsys, "construct", "hamiltonian-cycle", "-m", str(m), "-n", str(n), "--out", str(path)
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["verdict valid=yes", f"wrote cycle path={path}"]
+    cycle = constructions.hamiltonian_cycle_sr(m, n)
+    assert cycle.coords.dtype == np.min_scalar_type(n)
+    line = ",".join(["%d"] * m) + "\n"
+    one_shot = (line * cycle.length) % tuple(cycle.coords.ravel().tolist())
+    assert path.read_bytes() == one_shot.encode()
+
+
+def test_cli_hamiltonian_memory(tmp_path, capsys):
+    # build, check and write SR(10,10)'s 92,378 rows: about 2.9 MB traced as
+    # uint8 rows in blocks, about 25 MB as int64 rows written in one piece
+    path = tmp_path / "cycle.txt"
+    argv = ["construct", "hamiltonian-cycle", "-m", "10", "-n", "10", "--out", str(path)]
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "verdict valid=yes\n" in out
+    assert path.read_text().count("\n") == 92378
+    assert peak < 8_000_000
+
+
+def test_cli_hamiltonian_out_of_memory_exits_2(capsys, monkeypatch):
+    # a cycle under the enumeration cap whose array does not fit
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    code, out, err = run_cli(capsys, "construct", "hamiltonian-cycle", "-m", "3", "-n", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the Hamiltonian cycle array of shape (15, 3) does not fit in memory\n"
+
+
 def test_cli_construct_coloring_strict(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "coloring", "--family", "csr", "-m", "3", "-n", "2", "--strict"
