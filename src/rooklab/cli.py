@@ -214,18 +214,19 @@ def _cmd_dominating_set(args) -> int:
 
 def _cmd_hamiltonian(args) -> int:
     cycle = constructions.hamiltonian_cycle_sr(args.m, args.n, cap=args.enum_cap)
-    verdict = oracles.verify_cycle(cycle.spec, cycle.coords, cycle.anchor_edge)
+    anchor = constructions.anchor_edge(args.m, args.n)
+    verdict = oracles.verify_cycle(_spec_from_args(args), cycle, anchor)
     print(
-        f"hamiltonian-cycle m={args.m} n={args.n} length={cycle.length} "
-        f"anchor={format_vertex(cycle.anchor_edge[0])};{format_vertex(cycle.anchor_edge[1])}"
+        f"hamiltonian-cycle m={args.m} n={args.n} length={len(cycle)} "
+        f"anchor={format_vertex(anchor[0])};{format_vertex(anchor[1])}"
     )
     print(f"verdict valid={'yes' if verdict.valid else 'no'}"
           + (f" reason={verdict.reason}" if verdict.reason else ""))
     if args.out:
         line = ",".join(["%d"] * args.m) + "\n"
         with open(args.out, "w") as out:
-            for start in range(0, cycle.length, CYCLE_BLOCK_ROWS):
-                block = cycle.coords[start : start + CYCLE_BLOCK_ROWS]
+            for start in range(0, len(cycle), CYCLE_BLOCK_ROWS):
+                block = cycle[start : start + CYCLE_BLOCK_ROWS]
                 out.write(line * len(block) % tuple(block.ravel().tolist()))
         print(f"wrote cycle path={args.out}")
     if not verdict.valid:

@@ -12,9 +12,10 @@ dominating-set`, which maps every vertex to its witness in one array pass
 and counts the witnesses that are not members of D equal or adjacent to
 their vertex.  The recursive Hamiltonian cycle is one read-only (N, m)
 array of `np.min_scalar_type(n)` (uint8 for n <= 255, uint16 beyond) from
-construction to output, each slice a memoised sub-path array reversed.  It
-is checked in that dtype by `oracles.verify_cycle` and written a block of
-rows at a time by `construct hamiltonian-cycle --out`.
+construction to output, each slice the memoised cycle of a smaller SR
+graph rotated by one row.  It is checked in that dtype by
+`oracles.verify_cycle` and written a block of rows at a time by `construct
+hamiltonian-cycle --out`.
 """
 
 from __future__ import annotations
@@ -319,89 +320,53 @@ def conjectured_dominating_set_sr3(n: int, cap: int | None = None) -> Conjecture
 # -- Hamiltonian cycles for SR ---------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianCycle:
-    """A Hamiltonian cycle as an open vertex sequence (closure implied), one
-    read-only (N, m) row per vertex in the narrowest unsigned dtype that
-    holds n (`np.min_scalar_type(n)`), guaranteed to traverse the anchor
-    edge (n,0,...,0)-(n-1,1,0,...,0)."""
-
-    m: int
-    n: int
-    coords: np.ndarray
-
-    @property
-    def spec(self) -> GraphSpec:
-        return sr_spec(self.m, self.n)
-
-    @property
-    def length(self) -> int:
-        return len(self.coords)
-
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(map(tuple, self.coords.tolist()))
-
-    @property
-    def anchor_edge(self) -> tuple[Vertex, Vertex]:
-        return anchor_edge(self.m, self.n)
-
-
 def anchor_edge(m: int, n: int) -> tuple[Vertex, Vertex]:
     """The distinguished edge the recursion maintains: the all-in-first
     vertex joined to its single-step transfer onto the second coordinate."""
     return (n,) + (0,) * (m - 1), (n - 1, 1) + (0,) * (m - 2)
 
 
-def _ham_path(m: int, k: int, dtype: np.dtype, memo: dict) -> np.ndarray:
-    """Hamiltonian path of SR(m, k) from (k,0,...,0) to (k-1,1,0,...,0), as
-    rows of dtype.
+def _cycle(m: int, n: int, dtype: np.dtype, memo: dict) -> np.ndarray:
+    """Hamiltonian cycle of SR(m, n) for m >= 2, n >= 1 (for SR(2, 1) its one
+    edge), as rows of dtype with the anchor edge at rows 0-1.
 
-    Exists for m == 2, k >= 1 (complete graph) and for all m >= 3, k >= 1.
+    SR(2, n) is complete and SR(m, 1) is the unit vectors; each is taken in
+    order.  Otherwise, per slice of fixed first coordinate n-k the recursion
+    lays down the cycle of SR(m-1, k) read from its second row round to its
+    first, a Hamiltonian path between the ends of its anchor edge;
+    consecutive slices join through the transfer edges between those ends,
+    the all-in-first vertex closes the chain, and a final swap of
+    coordinates 2 and 3 moves the closing edge onto the anchor.
     """
-    key = (m, k)
-    if key in memo:
-        return memo[key]
-    if m == 2:
-        first = np.r_[k, 0:k].astype(dtype)
-        path = np.column_stack((first, k - first))
-    elif k == 1:
-        path = np.eye(m, dtype=dtype)[np.r_[0, m - 1 : 0 : -1]]
-    else:
-        cycle = _ham_cycle(m, k, dtype, memo)
-        # the anchor edge sits at rows 0-1; cut it and walk the other way
-        path = np.concatenate((cycle[:1], cycle[:0:-1]))
-    memo[key] = path
-    return path
-
-
-def _ham_cycle(m: int, n: int, dtype: np.dtype, memo: dict) -> np.ndarray:
-    """Hamiltonian cycle of SR(m, n) for m >= 3, n >= 2, as rows of dtype;
-    the anchor edge is the first consecutive pair of the returned rows.
-
-    Per slice of fixed first coordinate n-k the recursion lays down the
-    sub-path for SR(m-1, k) reversed; consecutive slices join through the
-    transfer edges between their endpoints, the all-in-first vertex closes
-    the chain, and a final swap of coordinates 2 and 3 moves the closing
-    edge onto the anchor.
-    """
+    if (m, n) in memo:
+        return memo[m, n]
     shape = (math.comb(n + m - 1, m - 1), m)
     cycle = allocate(np.zeros, shape, dtype, "Hamiltonian cycle")
-    cycle[0, 0] = n
-    start = 1
-    for k in range(1, n + 1):
-        sub = _ham_path(m - 1, k, dtype, memo)
-        rows = slice(start, start + len(sub))
-        cycle[rows, 0] = n - k
-        cycle[rows, 1:] = sub[::-1]
-        start += len(sub)
-    cycle[:, [1, 2]] = cycle[:, [2, 1]]
+    if m == 2:
+        cycle[:, 1] = np.arange(n + 1)
+        cycle[:, 0] = n - cycle[:, 1]
+    elif n == 1:
+        np.fill_diagonal(cycle, 1)
+    else:
+        cycle[0, 0] = n
+        start = 1
+        for k in range(1, n + 1):
+            sub = _cycle(m - 1, k, dtype, memo)
+            end = start + len(sub)
+            cycle[start:end, 0] = n - k
+            cycle[start : end - 1, 1:] = sub[1:]
+            cycle[end - 1, 1:] = sub[0]
+            start = end
+        cycle[:, [1, 2]] = cycle[:, [2, 1]]
+    memo[m, n] = cycle
     return cycle
 
 
-def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> HamiltonianCycle:
-    """Build the recursive Hamiltonian cycle of SR(m, n), in the narrowest
-    unsigned dtype that holds n.
+def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> np.ndarray:
+    """The recursive Hamiltonian cycle of SR(m, n) as an open vertex sequence
+    (closure implied): one read-only (N, m) row per vertex in the narrowest
+    unsigned dtype that holds n (`np.min_scalar_type(n)`), whose first two
+    rows are `anchor_edge(m, n)`.
 
     Rejects the graphs that have no Hamiltonian cycle: m == 1 or n == 0
     (single vertex) and (m, n) == (2, 1) (a single edge); `cap` bounds the
@@ -414,18 +379,9 @@ def hamiltonian_cycle_sr(m: int, n: int, cap: int | None = None) -> HamiltonianC
     if (m, n) == (2, 1):
         raise ValueError("no Hamiltonian cycle: SR(2,1) is a single edge")
     check_enum_cap(sr_spec(m, n), cap)
-    dtype = np.min_scalar_type(n)
-    if m == 2:
-        cycle = allocate(np.zeros, (n + 1, 2), dtype, "Hamiltonian cycle")
-        cycle[:, 1] = np.arange(n + 1)
-        cycle[:, 0] = n - cycle[:, 1]
-    elif n == 1:
-        cycle = allocate(np.zeros, (m, m), dtype, "Hamiltonian cycle")
-        np.fill_diagonal(cycle, 1)
-    else:
-        cycle = _ham_cycle(m, n, dtype, {})
+    cycle = _cycle(m, n, np.min_scalar_type(n), {})
     cycle.flags.writeable = False
-    return HamiltonianCycle(m, n, cycle)
+    return cycle
 
 
 # -- maximum cliques in CSR ------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO
 
@@ -80,8 +81,15 @@ def csr_spec(m: int, n: int) -> GraphSpec:
 
 
 def validate_vertex(spec: GraphSpec, v: tuple[int, ...]) -> Vertex:
-    """Return v as a vertex of spec, raising ValueError with the reason if not."""
-    v = tuple(int(x) for x in v)
+    """Return v as a vertex of spec, raising ValueError with the reason if not.
+    Coordinates must be integers (Python or numpy), not values that `int`
+    would truncate."""
+    coords = list(v)
+    try:
+        v = tuple(map(operator.index, coords))
+    except TypeError:
+        shown = ", ".join(map(str, coords))
+        raise ValueError(f"vertex has a non-integer coordinate: ({shown})") from None
     if len(v) != spec.m:
         raise ValueError(f"vertex has {len(v)} coordinates, spec {spec.label()} needs {spec.m}")
     if spec.family == SR:

@@ -18,6 +18,7 @@ from rooklab.automorphisms import (
 )
 from rooklab.cli import main
 from rooklab.constructions import (
+    anchor_edge,
     dominating_set_sr,
     hamiltonian_cycle_sr,
     residue_independent_family,
@@ -74,7 +75,7 @@ def test_c02_hamiltonian_sweep():
             if (m, n) == (2, 1):
                 continue
             cycle = hamiltonian_cycle_sr(m, n)
-            verdict = verify_cycle(cycle.spec, list(cycle.vertices), cycle.anchor_edge)
+            verdict = verify_cycle(sr_spec(m, n), cycle.tolist(), anchor_edge(m, n))
             ok &= verdict.valid
     elapsed = time.monotonic() - start
     _gate(2, "Hamiltonian cycles pass the checker for 2<=m<=5, 1<=n<=5 minus (2,1)", ok and elapsed < 10, elapsed)

@@ -197,15 +197,15 @@ def test_conjectured_verdict_matches_neighbors_cover():
 
 def test_hamiltonian_k3():
     cycle = hamiltonian_cycle_sr(2, 2)
-    assert len(cycle.vertices) == 3
-    assert cycle.vertices[0] == (2, 0) and cycle.vertices[1] == (1, 1)
-    assert verify_cycle(cycle.spec, list(cycle.vertices), cycle.anchor_edge).valid
+    assert len(cycle) == 3
+    assert tuple(cycle[0].tolist()) == (2, 0) and tuple(cycle[1].tolist()) == (1, 1)
+    assert verify_cycle(sr_spec(2, 2), cycle.tolist(), anchor_edge(2, 2)).valid
 
 
 def test_hamiltonian_sr32():
     cycle = hamiltonian_cycle_sr(3, 2)
-    assert len(cycle.vertices) == 6
-    verdict = verify_cycle(cycle.spec, list(cycle.vertices), anchor_edge(3, 2))
+    assert len(cycle) == 6
+    verdict = verify_cycle(sr_spec(3, 2), cycle.tolist(), anchor_edge(3, 2))
     assert verdict.valid, verdict.reason
 
 
@@ -215,7 +215,7 @@ def test_hamiltonian_sr32():
 )
 def test_hamiltonian_sweep(m, n):
     cycle = hamiltonian_cycle_sr(m, n)
-    verdict = verify_cycle(cycle.spec, list(cycle.vertices), cycle.anchor_edge)
+    verdict = verify_cycle(sr_spec(m, n), cycle.tolist(), anchor_edge(m, n))
     assert verdict.valid, (m, n, verdict.reason)
 
 
@@ -254,14 +254,17 @@ def tuple_hamiltonian_cycle(m, n):
 
 
 @pytest.mark.parametrize(
-    "m,n", [(m, n) for m in range(2, 7) for n in range(1, 9) if (m, n) != (2, 1)]
+    "m,n",
+    [(m, n) for m in range(2, 7) for n in range(1, 9) if (m, n) != (2, 1)]
+    # both base cases at new sizes, uint16 rows, the certify spec, a deep recursion
+    + [(2, 300), (9, 1), (3, 256), (8, 10), (30, 3)],
 )
 def test_hamiltonian_array_matches_tuple_reference(m, n):
     cycle = hamiltonian_cycle_sr(m, n)
-    assert cycle.coords.dtype == np.min_scalar_type(n) and not cycle.coords.flags.writeable
-    assert cycle.coords.tolist() == [list(v) for v in tuple_hamiltonian_cycle(m, n)]
-    assert cycle.vertices == tuple(tuple_hamiltonian_cycle(m, n))
-    assert cycle.length == cycle.spec.vertex_count
+    assert cycle.dtype == np.min_scalar_type(n) and not cycle.flags.writeable
+    assert cycle.tolist() == [list(v) for v in tuple_hamiltonian_cycle(m, n)]
+    assert len(cycle) == sr_spec(m, n).vertex_count
+    assert tuple(map(tuple, cycle[:2].tolist())) == anchor_edge(m, n)
 
 
 @pytest.mark.parametrize("m,n,msg", [(2, 1, "single edge"), (1, 5, "single vertex"), (3, 0, "single vertex")])

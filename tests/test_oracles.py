@@ -3,13 +3,14 @@
 import heapq
 import itertools
 import random
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from rooklab import oracles
-from rooklab.constructions import hamiltonian_cycle_sr
+from rooklab.constructions import anchor_edge, hamiltonian_cycle_sr
 from rooklab.core import (
     adjacent,
     csr_spec,
@@ -268,7 +269,7 @@ CYCLE_SPECS = [sr_spec(2, 5), sr_spec(3, 2), sr_spec(3, 4), sr_spec(4, 3), sr_sp
 @pytest.mark.parametrize("seed", range(4))
 def test_verify_cycle_matches_scan_reference(spec, seed):
     if spec.family == "SR":
-        cycle = list(hamiltonian_cycle_sr(spec.m, spec.n).vertices)
+        cycle = list(map(tuple, hamiltonian_cycle_sr(spec.m, spec.n).tolist()))
     else:
         cycle = _dfs_cycle(spec)
     for name, entries, edge in _mutations(spec, cycle, random.Random(seed)):
@@ -284,13 +285,30 @@ def test_verify_cycle_matches_scan_reference(spec, seed):
 
 def test_verify_cycle_names_bad_entries_without_raising():
     spec = sr_spec(3, 2)
-    cycle = list(hamiltonian_cycle_sr(3, 2).vertices)
+    cycle = list(map(tuple, hamiltonian_cycle_sr(3, 2).tolist()))
     verdict = verify_cycle(spec, cycle[:3] + [(1, 1)] + cycle[4:])
     assert verdict == CycleVerdict(
         False, "invalid vertex at position 3: vertex has 2 coordinates, spec SR(3,2) needs 3"
     )
     scalar = verify_cycle(spec, cycle[:2] + [7] + cycle[3:])
     assert not scalar.valid and scalar.reason.startswith("invalid vertex at position 2: ")
+
+
+def test_verify_cycle_rejects_non_integer_coordinates():
+    # int() would truncate (2.5, -0.5) to the vertex (2, 0) and pass the cycle
+    spec, reason = sr_spec(2, 2), "vertex has a non-integer coordinate: (2.5, -0.5)"
+    entries = [(2.5, -0.5), (1, 1), (0, 2)]
+    expected = CycleVerdict(False, f"invalid vertex at position 0: {reason}")
+    assert verify_cycle(spec, entries) == expected
+    assert verify_cycle(spec, np.array(entries)) == expected
+    with pytest.raises(ValueError, match=rf"^{re.escape(reason)}$"):
+        validate_vertex(spec, (2.5, -0.5))
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        validate_vertex(spec, np.array([2.0, 0.0]))
+    assert validate_vertex(spec, (np.int64(2), np.int64(0))) == (2, 0)
+    assert validate_vertex(spec, np.array([1, 1], dtype=np.int64)) == (1, 1)
+    integer_rows = np.array([(2, 0), (1, 1), (0, 2)], dtype=np.int64)
+    assert verify_cycle(spec, list(map(tuple, integer_rows))) == CycleVerdict(True, None)
 
 
 # a Hamiltonian path of SR(3,2) whose ends (0,1,1) and (2,0,0) differ in all
@@ -300,8 +318,7 @@ OPEN_PATH_SR32 = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2), (1, 0, 1), (0, 1, 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_verify_cycle_on_narrow_rows_matches_int64(dtype):
-    cycle = hamiltonian_cycle_sr(4, 3)
-    spec, rows = cycle.spec, cycle.coords.astype(dtype)
+    spec, rows, anchor = sr_spec(4, 3), hamiltonian_cycle_sr(4, 3).astype(dtype), anchor_edge(4, 3)
     first = tuple(rows[0].tolist())
     repeated = rows.copy()
     repeated[7] = rows[3]
@@ -309,8 +326,8 @@ def test_verify_cycle_on_narrow_rows_matches_int64(dtype):
     not_adjacent = "consecutive vertices not adjacent at position"
     missing = "required edge missing from cycle"
     cases = [
-        ("valid", spec, rows, cycle.anchor_edge, None),
-        ("repeated", spec, repeated, cycle.anchor_edge, "duplicate vertex"),
+        ("valid", spec, rows, anchor, None),
+        ("repeated", spec, repeated, anchor, "duplicate vertex"),
         ("interior", sr_spec(3, 2), np.roll(open_path, 2, axis=0), None, f"{not_adjacent} 1"),
         ("wrap", sr_spec(3, 2), open_path, None, f"{not_adjacent} 5"),
         ("missing-edge", spec, rows, (first, tuple(rows[2].tolist())), missing),
@@ -326,10 +343,11 @@ def test_verify_cycle_on_narrow_rows_matches_int64(dtype):
 
 def test_verify_cycle_on_uint16_rows():
     cycle = hamiltonian_cycle_sr(3, 256)  # coordinates up to 256 need uint16
-    assert cycle.coords.dtype == np.uint16
-    verdict = verify_cycle(cycle.spec, cycle.coords, cycle.anchor_edge)
+    assert cycle.dtype == np.uint16
+    spec, anchor = sr_spec(3, 256), anchor_edge(3, 256)
+    verdict = verify_cycle(spec, cycle, anchor)
     assert verdict == CycleVerdict(True, None)
-    assert verify_cycle(cycle.spec, cycle.coords.astype(np.int64), cycle.anchor_edge) == verdict
+    assert verify_cycle(spec, cycle.astype(np.int64), anchor) == verdict
 
 
 def test_search_caps():

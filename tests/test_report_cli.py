@@ -306,9 +306,9 @@ def test_cli_hamiltonian_blocks_match_one_shot_text(tmp_path, capsys, m, n):
     assert code == 0
     assert out.splitlines()[1:] == ["verdict valid=yes", f"wrote cycle path={path}"]
     cycle = constructions.hamiltonian_cycle_sr(m, n)
-    assert cycle.coords.dtype == np.min_scalar_type(n)
+    assert cycle.dtype == np.min_scalar_type(n)
     line = ",".join(["%d"] * m) + "\n"
-    one_shot = (line * cycle.length) % tuple(cycle.coords.ravel().tolist())
+    one_shot = (line * len(cycle)) % tuple(cycle.ravel().tolist())
     assert path.read_bytes() == one_shot.encode()
 
 
