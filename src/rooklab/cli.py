@@ -59,7 +59,9 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--enum-cap", type=int, default=None, help="vertex enumeration cap")
     common.add_argument("--eig-cap", type=int, default=None, help="dense eigensolver cap")
-    common.add_argument("--mask-limit", type=int, default=None, help="subset-DP coordinate limit")
+    common.add_argument(
+        "--mask-limit", type=int, default=None, help="subset-DP limit on nonzero coordinates"
+    )
     common.add_argument("--tol", type=float, default=None, help="spectral tolerance")
     common.add_argument(
         "--strict", action="store_true", help="exit 3 when a discrepancy is found"
@@ -148,12 +150,12 @@ def _cmd_analyze(args) -> int:
         mask_cap=args.mask_limit,
         tolerance=args.tol,
     )
-    for line in result.to_lines():
-        print(line)
-    if args.json:
+    if args.json:  # before any output, so a path that cannot be written prints nothing
         with open(args.json, "w") as out:
             json.dump(result.to_json(), out, indent=2, sort_keys=True)
             out.write("\n")
+    for line in result.to_lines():
+        print(line)
     return _strict_exit(args, result.has_discrepancy)
 
 
@@ -216,6 +218,12 @@ def _cmd_hamiltonian(args) -> int:
     cycle = constructions.hamiltonian_cycle_sr(args.m, args.n, cap=args.enum_cap)
     anchor = constructions.anchor_edge(args.m, args.n)
     verdict = oracles.verify_cycle(_spec_from_args(args), cycle, anchor)
+    if args.out:  # before any output, so a path that cannot be written prints nothing
+        line = ",".join(["%d"] * args.m) + "\n"
+        with open(args.out, "w") as out:
+            for start in range(0, len(cycle), CYCLE_BLOCK_ROWS):
+                block = cycle[start : start + CYCLE_BLOCK_ROWS]
+                out.write(line * len(block) % tuple(block.ravel().tolist()))
     print(
         f"hamiltonian-cycle m={args.m} n={args.n} length={len(cycle)} "
         f"anchor={format_vertex(anchor[0])};{format_vertex(anchor[1])}"
@@ -223,11 +231,6 @@ def _cmd_hamiltonian(args) -> int:
     print(f"verdict valid={'yes' if verdict.valid else 'no'}"
           + (f" reason={verdict.reason}" if verdict.reason else ""))
     if args.out:
-        line = ",".join(["%d"] * args.m) + "\n"
-        with open(args.out, "w") as out:
-            for start in range(0, len(cycle), CYCLE_BLOCK_ROWS):
-                block = cycle[start : start + CYCLE_BLOCK_ROWS]
-                out.write(line * len(block) % tuple(block.ravel().tolist()))
         print(f"wrote cycle path={args.out}")
     if not verdict.valid:
         return EXIT_DISCREPANCY if args.strict else EXIT_USAGE

@@ -54,6 +54,12 @@ def zero_partition_number(
 ) -> tuple[int, ZeroPartition]:
     """Maximum block count over all zero partitionings of b, with a witness.
 
+    Each zero coordinate is a block of its own: split off from its block, it
+    leaves that block zero-sum and adds one block, and the witness below
+    takes its singleton, the smallest candidate.  So the DP runs over the m
+    nonzero coordinates only, and the mask limit bounds m; two CSR vertices
+    at distance d differ in at most 2d places.
+
     Prefix-ordering dynamic program over index subsets S:
 
         dp[S] = [sum of S = 0 mod n] + max over i in S of dp[S - {i}],
@@ -62,28 +68,29 @@ def zero_partition_number(
     segments between consecutive zero-sum prefixes are zero-sum blocks, so
     dp[S] is the best block count of S.  Subset sums are built by doubling
     and dp is filled one popcount layer at a time with numpy: O(2^m * m)
-    time, O(2^m) memory; m is guarded by the mask limit.
+    time, O(2^m) memory.
 
     Witness: from R = all indices, repeatedly remove the block with the
     numerically smallest mask that holds R's lowest index, sums to 0 mod n
-    and leaves dp[R - block] = dp[R] - 1.
+    and leaves dp[R - block] = dp[R] - 1.  No such block holds a zero
+    coordinate beside others, so the blocks of the nonzero coordinates,
+    sorted in with the singletons by first index, are that walk's blocks.
     """
-    m = len(b)
     if n < 1:
         raise ValueError(f"modulus n must be >= 1, got {n}")
-    limit = config.mask_limit(mask_cap)
-    if m > limit:
-        raise CapExceededError(f"m={m} exceeds the subset-mask limit {limit}")
     b = tuple(x % n for x in b)
     if sum(b) % n != 0:
         raise ValueError(f"not a CSR vertex: coordinates sum to {sum(b)} != 0 mod {n}")
-    if m == 0:
-        return 0, ZeroPartition((), n)
+    spots = [i for i, x in enumerate(b) if x]
+    m = len(spots)
+    limit = config.mask_limit(mask_cap)
+    if m > limit:
+        raise CapExceededError(f"{m} nonzero coordinates mod {n}, over the subset-mask limit {limit}")
 
     # the smallest dtype holding 2(n - 1); past uint64 it is exact Python ints
     sums = allocate(np.zeros, 1 << m, np.min_scalar_type(2 * n), "subset-sum")
-    for i, x in enumerate(b):
-        sums[1 << i : 2 << i] = (sums[: 1 << i] + x) % n
+    for i, spot in enumerate(spots):
+        sums[1 << i : 2 << i] = (sums[: 1 << i] + b[spot]) % n
     zero = (sums == 0).view(np.uint8)
     del sums
     popcount = np.zeros(1 << m, dtype=np.uint8)
@@ -101,13 +108,14 @@ def zero_partition_number(
             np.maximum(best, dp[layer ^ (1 << i)], out=best)
         dp[layer] = best + zero[layer]
 
-    blocks: list[tuple[int, ...]] = []
+    blocks = [(i,) for i, x in enumerate(b) if not x]
     rest = (1 << m) - 1
     while rest:
         block = _smallest_block(zero, dp, rest)
-        blocks.append(tuple(i for i in range(m) if block >> i & 1))
+        blocks.append(tuple(spots[i] for i in range(m) if block >> i & 1))
         rest ^= block
-    return int(dp[-1]), ZeroPartition(tuple(blocks), n)
+    blocks.sort()  # disjoint ascending blocks: by first index
+    return len(blocks), ZeroPartition(tuple(blocks), n)
 
 
 # candidate blocks tested one by one before the search turns to numpy; about

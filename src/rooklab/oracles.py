@@ -4,8 +4,10 @@ distances, and the Hamiltonian-cycle checker.
 Everything here is deliberately independent of the closed-form constructions
 it certifies: max clique / independent set use a coloring-bound branch and
 bound, domination uses iterative-deepening set cover, coloring uses
-saturation-ordered backtracking, distances use plain BFS.  Vertex sets live
-in bitmasks (Python ints), so the practical limit is a few hundred vertices.
+saturation-ordered backtracking, distances use plain BFS.  Gamma and chi
+count k up from a lower bound and return the witness of the first k whose
+search succeeds.  Vertex sets live in bitmasks (Python ints), so the
+practical limit is a few hundred vertices.
 
 The set cover prunes a node by its count bound: the `budget` largest
 covers (how many uncovered vertices an available vertex's closed
@@ -140,16 +142,6 @@ def oracle_alpha(spec: GraphSpec) -> tuple[int, list[Vertex]]:
 # -- minimum dominating set ----------------------------------------------------
 
 
-def _greedy_cover(closed: list[int], nv: int) -> list[int]:
-    chosen: list[int] = []
-    unc = (1 << nv) - 1
-    while unc:
-        v = max(range(nv), key=lambda u: (closed[u] & unc).bit_count())
-        chosen.append(v)
-        unc &= ~closed[v]
-    return chosen
-
-
 def _cover_search(
     unc: int,
     budget: int,
@@ -246,17 +238,15 @@ def _min_cover(closed: list[int], k: int) -> list[int] | None:
 
 
 def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
-    """Exact domination number via iterative deepening on the cover size."""
+    """Exact domination number with the cover the search finds at it: k
+    counts up from ceil(N / max |N[v]|), which no smaller cover can reach,
+    to the first k with a cover, which exists by k = N."""
     verts, adj = _bit_graph(spec)
-    nv = len(verts)
-    closed = [adj[i] | (1 << i) for i in range(nv)]
-    greedy = _greedy_cover(closed, nv)
-    lower = -(-nv // (spec.degree + 1))
-    for k in range(lower, len(greedy)):
-        found = _min_cover(closed, k)
-        if found is not None:
-            return k, sorted(verts[i] for i in found)
-    return len(greedy), sorted(verts[i] for i in greedy)
+    closed = [adj[i] | (1 << i) for i in range(len(verts))]
+    k = -(-len(closed) // max(c.bit_count() for c in closed))
+    while (found := _min_cover(closed, k)) is None:
+        k += 1
+    return k, sorted(verts[i] for i in found)
 
 
 # -- chromatic number ----------------------------------------------------------
@@ -366,21 +356,15 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
 
 
 def oracle_chi(spec: GraphSpec) -> tuple[int, dict[Vertex, int]]:
-    """Exact chromatic number via iterative deepening on the color count."""
+    """Exact chromatic number with the coloring the search finds at it: k
+    counts up from the size of a maximum clique, which needs that many
+    colors, to the first k with a coloring, which exists by k = N."""
     verts, adj = _bit_graph(spec)
-    nv = len(verts)
-    clique = _max_clique_bits(adj, nv)
-    # greedy coloring in canonical order gives the upper end of the search
-    greedy = [-1] * nv
-    for v in range(nv):
-        taken = {greedy[w] for w in _bits(adj[v])}
-        greedy[v] = next(c for c in range(nv) if c not in taken)
-    upper = max(greedy) + 1 if nv else 0
-    for k in range(len(clique), upper):
-        colors = _k_coloring(adj, k, clique)
-        if colors is not None:
-            return k, {verts[i]: colors[i] for i in range(nv)}
-    return upper, {verts[i]: greedy[i] for i in range(nv)}
+    clique = _max_clique_bits(adj, len(verts))
+    k = len(clique)
+    while (colors := _k_coloring(adj, k, clique)) is None:
+        k += 1
+    return k, dict(zip(verts, colors))
 
 
 # -- distances -----------------------------------------------------------------

@@ -234,11 +234,36 @@ def test_zero_partition_unit_scaling_invariant():
         assert zero_partition_number(scaled, n)[0] == base
 
 
+def test_zero_partition_mask_limit_counts_nonzero_coordinates():
+    # zero coordinates are singleton blocks outside the DP, so only the
+    # nonzero ones count against the mask limit
+    count, witness = zero_partition_number((0,) * 30, 2)
+    assert count == 30 and witness.blocks == tuple((i,) for i in range(30))
+    b = (0, 4, 0, 1, 1, 1, 1, 1, 1, 1, 3) + (0,) * 29
+    count, witness = zero_partition_number(b, 7)
+    assert count == 33 and witness.check(b)
+    assert witness.blocks == ((0,), (1, 3, 4, 5), (2,), (6, 7, 8, 9, 10)) + tuple(
+        (i,) for i in range(11, 40)
+    )
+    dist, _ = csr_distance_witness(csr_spec(40, 7), (0,) * 40, b)
+    assert dist == 7
+    with pytest.raises(CapExceededError, match="28 nonzero coordinates mod 7"):
+        zero_partition_number((1,) * 28 + (0,) * 12, 7)
+    # the witness is the one the DP over every coordinate gives
+    rng = random.Random(40)
+    for _ in range(200):
+        m, n = rng.randint(1, 12), rng.choice([2, 3, 5, 12])
+        b = tuple(0 if rng.random() < 0.5 else x for x in _random_csr_vertex(rng, m, n))
+        b = b[:-1] + ((-sum(b[:-1])) % n,)
+        count, witness = zero_partition_number(b, n)
+        assert (count, witness.blocks) == walk_zero_partition(b, n), (b, n)
+
+
 def test_zero_partition_validation():
     with pytest.raises(ValueError, match="sum"):
         zero_partition_number((1, 0, 0), 2)
-    with pytest.raises(CapExceededError):
-        zero_partition_number((0,) * 30, 2)
+    with pytest.raises(CapExceededError, match="24 nonzero coordinates mod 2"):
+        zero_partition_number((1,) * 24, 2)
     with pytest.raises(ValueError):
         zero_partition_number((0, 0), 0)
 

@@ -23,7 +23,6 @@ from rooklab.oracles import (
     CycleVerdict,
     _bit_graph,
     _bits,
-    _greedy_cover,
     _k_coloring,
     _max_clique_bits,
     all_pairs_distances,
@@ -409,6 +408,23 @@ CERTIFY_CHI = [
 ]
 
 
+# chi of each, as the search capped by a greedy coloring found it; on
+# CSR(3,2) and CSR(5,2) that cap returned the greedy coloring itself
+CERTIFY_CHI_VALUES = {
+    "SR(3,6)": 7, "SR(3,9)": 10, "SR(4,4)": 5, "SR(4,5)": 7, "CSR(3,5)": 5,
+    "CSR(3,7)": 7, "CSR(4,3)": 7, "CSR(4,4)": 7, "CSR(3,2)": 4, "CSR(5,2)": 8,
+}
+
+
+@pytest.mark.parametrize("spec", CERTIFY_CHI, ids=[s.label() for s in CERTIFY_CHI])
+def test_chi_value_and_coloring(spec):
+    count, coloring = oracle_chi(spec)
+    assert count == CERTIFY_CHI_VALUES[spec.label()]
+    assert sorted(coloring) == enumerate_vertices(spec)
+    assert set(coloring.values()) == set(range(count))
+    assert all(coloring[v] != coloring[w] for v in coloring for w in neighbors(spec, v))
+
+
 @pytest.mark.parametrize("spec", CERTIFY_CHI, ids=[s.label() for s in CERTIFY_CHI])
 def test_k_coloring_matches_scan_reference(spec):
     # identical colour arrays (or None) for every k oracle_chi tries
@@ -567,23 +583,23 @@ def count_calls(monkeypatch, module, name):
 
 
 def assert_cover_search_matches_scan(adj, monkeypatch):
-    """Run both searches at every cover size oracle_gamma tries on adj;
-    return the size found.  The lower end is oracle_gamma's for a regular
-    graph, with the largest degree in place of the degree."""
+    """Run both searches at every cover size oracle_gamma tries on adj, up
+    to the first that finds a cover; return that size.  The lower end is
+    oracle_gamma's, ceil(N / max |N[v]|)."""
     nv = len(adj)
     closed = [adj[i] | (1 << i) for i in range(nv)]
-    greedy = _greedy_cover(closed, nv)
     full = (1 << nv) - 1
     here = sys.modules[__name__]
     new_calls = count_calls(monkeypatch, oracles, "_cover_search")
     scan_calls = count_calls(monkeypatch, here, "scan_cover_search")
-    for k in range(-(-nv // (max(a.bit_count() for a in adj) + 1)), len(greedy)):
+    k = -(-nv // (max(a.bit_count() for a in adj) + 1))
+    while True:
         got = oracles._min_cover(closed, k)
         assert got == here.scan_cover_search(full, k, full, closed, nv)
         assert new_calls == scan_calls  # the same tree, node for node
         if got is not None:
             return k
-    return len(greedy)
+        k += 1
 
 
 # SR(3,n) and SR(4,n) up to 60 vertices, then every graph whose domination
@@ -594,6 +610,27 @@ GAMMA_SPECS = list(dict.fromkeys(
         csr_spec(3, 5), csr_spec(3, 7), csr_spec(4, 3), csr_spec(4, 4),
     ]
 ))
+
+
+# gamma of each, as the search capped by a greedy cover found it; that cap
+# returned the greedy cover itself on every SR(3,n) with n <= 9 but 6 and 8,
+# every SR(4,n) with n <= 4, and CSR(3,5), CSR(3,7), CSR(4,3) and CSR(4,4)
+GAMMA_VALUES = {
+    "SR(3,0)": 1, "SR(3,1)": 1, "SR(3,2)": 2, "SR(3,3)": 2, "SR(3,4)": 3,
+    "SR(3,5)": 3, "SR(3,6)": 3, "SR(3,7)": 4, "SR(3,8)": 4, "SR(3,9)": 5,
+    "SR(4,0)": 1, "SR(4,1)": 1, "SR(4,2)": 2, "SR(4,3)": 2, "SR(4,4)": 4,
+    "SR(4,5)": 5, "SR(3,10)": 5, "CSR(3,5)": 3, "CSR(3,7)": 5, "CSR(4,3)": 3,
+    "CSR(4,4)": 4,
+}
+
+
+@pytest.mark.parametrize("spec", GAMMA_SPECS, ids=[s.label() for s in GAMMA_SPECS])
+def test_gamma_value_and_cover(spec):
+    size, cover = oracle_gamma(spec)
+    assert size == GAMMA_VALUES[spec.label()] == len(set(cover)) == len(cover)
+    assert cover == sorted(cover) and all(validate_vertex(spec, v) == v for v in cover)
+    covered = set(cover).union(*(neighbors(spec, d) for d in cover))
+    assert covered == set(enumerate_vertices(spec))
 
 
 @pytest.mark.parametrize("spec", GAMMA_SPECS, ids=[s.label() for s in GAMMA_SPECS])

@@ -254,6 +254,15 @@ def test_cli_analyze_json(tmp_path, capsys):
     assert names == ["alpha", "gamma", "omega", "chi", "diameter"]
 
 
+def test_cli_analyze_unwritable_json_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "analyze", "--family", "sr", "-m", "3", "-n", "2", "--json", str(path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
 def test_cli_deterministic_output(capsys):
     first = run_cli(capsys, "analyze", "--family", "csr", "-m", "4", "-n", "3", "--oracle", "all")
     second = run_cli(capsys, "analyze", "--family", "csr", "-m", "4", "-n", "3", "--oracle", "all")
@@ -293,6 +302,15 @@ def test_cli_construct_hamiltonian_export(tmp_path, capsys):
     assert code == 0
     assert "verdict valid=yes" in out
     assert len(path.read_text().splitlines()) == 6
+
+
+def test_cli_hamiltonian_unwritable_out_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "missing" / "cycle.txt"
+    code, out, err = run_cli(
+        capsys, "construct", "hamiltonian-cycle", "-m", "3", "-n", "2", "--out", str(path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
 
 @pytest.mark.parametrize("m,n", [(5, 12), (2, 4095), (2, 4096), (8, 10)])
