@@ -182,35 +182,38 @@ def _cmd_dominating_set(args) -> int:
     if args.conjectured:
         if args.m != 3:
             raise ValueError("the conjectured diagonal set is defined for m=3 only")
-        result = constructions.conjectured_dominating_set_sr3(args.n, cap=args.enum_cap)
+        candidates, dominates = constructions.conjectured_dominating_set_sr3(
+            args.n, cap=args.enum_cap
+        )
         # exact gamma before any output, so a search over its cap prints nothing
         gamma = oracles.oracle_gamma(_spec_from_args(args))[0] if args.oracle else None
-        mismatch = gamma is not None and gamma != result.size
-        print(f"conjectured-dominating-set m=3 n={args.n} size={result.size}")
-        for v in result.vertices:
+        mismatch = gamma is not None and gamma != len(candidates)
+        print(f"conjectured-dominating-set m=3 n={args.n} size={len(candidates)}")
+        for v in candidates:
             print(f"vertex {format_vertex(v)}")
-        print(f"verdict dominates={'yes' if result.dominates else 'no'}")
+        print(f"verdict dominates={'yes' if dominates else 'no'}")
         if gamma is not None:
             print(f"oracle gamma={gamma} matches={'no' if mismatch else 'yes'}")
-        return _strict_exit(args, mismatch or not result.dominates)
+        return _strict_exit(args, mismatch or not dominates)
 
-    dom = constructions.dominating_set_sr(args.m, args.n, cap=args.enum_cap)
-    spec = dom.spec
+    size = len(constructions.dominating_set_sr(args.m, args.n, cap=args.enum_cap))
+    spec = _spec_from_args(args)
     gamma = oracles.oracle_gamma(spec)[0] if args.oracle else None  # before any output
     # the witness map doubles as the verification scan: each vertex's witness
     # must be a vertex of SR(m, n) in D, equal to it or differing in two places
     coords = indexed_graph(spec, args.enum_cap).coords
-    w = dom.witness(coords)
+    w = constructions.equal_pair_dominators(coords)
     ok = (w >= 0).all(axis=1) & (w.sum(axis=1) == spec.n) & (w[:, 0] == w[:, 1])
     ok &= np.isin((w != coords).sum(axis=1), (0, 2))
     bad = int(np.count_nonzero(~ok))
     print(
-        f"dominating-set m={args.m} n={args.n} size={dom.size} "
-        f"formula-size={dom.predicted_size()} upper-bound={dom.size_upper_bound()}"
+        f"dominating-set m={args.m} n={args.n} size={size} "
+        f"formula-size={constructions.equal_pair_size(args.m, args.n)} "
+        f"upper-bound={constructions.equal_pair_bound(args.m, args.n)}"
     )
     print(f"verdict dominates={'yes' if bad == 0 else 'no'} witness-failures={bad}")
     if gamma is not None:
-        print(f"oracle gamma={gamma} gap={dom.size - gamma}")
+        print(f"oracle gamma={gamma} gap={size - gamma}")
     return _strict_exit(args, bad)
 
 
@@ -238,9 +241,9 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _cmd_clique(args) -> int:
-    clique = constructions.max_clique_csr(args.m, args.n)
-    print(f"clique family=CSR m={args.m} n={args.n} kind={clique.kind} size={clique.size}")
-    for v in clique.vertices:
+    kind, members = constructions.max_clique_csr(args.m, args.n)
+    print(f"clique family=CSR m={args.m} n={args.n} kind={kind} size={len(members)}")
+    for v in members:
         print(f"vertex {format_vertex(v)}")
     print("verdict pairwise-adjacent=yes")
     return EXIT_OK

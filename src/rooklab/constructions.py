@@ -3,17 +3,18 @@ set, the recursive Hamiltonian cycle and maximum CSR cliques.
 
 One residue partition serves both the independent sets and the colouring:
 its classes are the candidate independent sets, its class index the colour,
-and one scan counts the edges inside each class.  Cliques are checked for
-pairwise adjacency as they are built.  Guaranteed properties that fail their
+and one scan counts the edges inside each class.  The other constructions
+return plain rows or tuples.  A clique is (kind, members), checked for
+pairwise adjacency as it is built.  Guaranteed properties that fail their
 scan raise InternalConsistencyError; family-dependent ones return a verdict.
-The equal-pair dominating set is the rows of the vertex array with equal
-first two coordinates.  It is not verified here but by `construct
-dominating-set`, which maps every vertex to its witness in one array pass
-and counts the witnesses that are not members of D equal or adjacent to
-their vertex.  The recursive Hamiltonian cycle is one read-only (N, m)
-array of `np.min_scalar_type(n)` (uint8 for n <= 255, uint16 beyond) from
-construction to output, each slice the memoised cycle of a smaller SR
-graph rotated by one row.  It is checked in that dtype by
+The equal-pair dominating set D is the rows of the vertex array with equal
+first two coordinates; its size and size bound are closed forms here.  It
+is verified by `construct dominating-set`, which maps every vertex to its
+dominator in one array pass and counts those that are not members of D
+equal or adjacent to their vertex.  The recursive Hamiltonian cycle is one
+read-only (N, m) array of `np.min_scalar_type(n)` (uint8 for n <= 255,
+uint16 beyond) from construction to output, each slice the memoised cycle
+of a smaller SR graph rotated by one row.  It is checked in that dtype by
 `oracles.verify_cycle` and written a block of rows at a time by `construct
 hamiltonian-cycle --out`.
 """
@@ -161,15 +162,13 @@ class ResidueClassFamily:
     def best_size(self) -> int:
         return self.sizes[self.best_index]
 
-    def best_verified(self) -> tuple[int, list[Vertex]] | None:
-        """Largest class that passed the independence scan (smallest index on
-        ties), or None; an empty class passes when no other does."""
-        verified = {t: size for t, size in self.sizes.items() if t not in self.clashes}
+    def verified_size(self) -> int | None:
+        """Size of the largest class that passed the independence scan, or
+        None; an empty class (size 0) passes when no other does."""
+        verified = [size for t, size in self.sizes.items() if t not in self.clashes]
         if verified:
-            best = max(verified, key=verified.get)
-            return best, self.members(best)
-        empty = next((t for t in range(self.p) if t not in self.sizes), None)
-        return None if empty is None else (empty, [])
+            return max(verified)
+        return 0 if len(self.sizes) < self.p else None
 
 
 def proper_coloring(
@@ -235,77 +234,45 @@ def residue_independent_family(
 # -- dominating set for SR -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SrDominatingSet:
-    """The set D of vertices whose first two coordinates are equal, one
-    read-only (|D|, m) row per member in lexicographic order."""
-
-    m: int
-    n: int
-    coords: np.ndarray
-
-    @property
-    def spec(self) -> GraphSpec:
-        return sr_spec(self.m, self.n)
-
-    @property
-    def size(self) -> int:
-        return len(self.coords)
-
-    @property
-    def vertices(self) -> list[Vertex]:
-        return list(map(tuple, self.coords.tolist()))
-
-    def predicted_size(self) -> int:
-        """Closed form: sum over i of C(n + m - 3 - 2i, m - 3)."""
-        return sum(
-            math.comb(self.n + self.m - 3 - 2 * i, self.m - 3)
-            for i in range(self.n // 2 + 1)
-        )
-
-    def size_upper_bound(self) -> Fraction:
-        """Half of C(n + m - 1, m - 2)."""
-        return Fraction(math.comb(self.n + self.m - 1, self.m - 2), 2)
-
-    def witness(self, coords: np.ndarray) -> np.ndarray:
-        """The dominator of each vertex row of coords, as a new (k, m) array:
-        the row itself if it is in D, else the adjacent member of D obtained
-        by lowering the larger of the first two coordinates to the smaller
-        and adding the difference to the third."""
-        low = coords[:, :2].min(axis=1)
-        out = coords.copy()
-        out[:, 2] += coords[:, :2].sum(axis=1) - 2 * low
-        out[:, :2] = low[:, None]
-        return out
+def equal_pair_size(m: int, n: int) -> int:
+    """|D| in closed form: sum over i of C(n + m - 3 - 2i, m - 3)."""
+    return sum(math.comb(n + m - 3 - 2 * i, m - 3) for i in range(n // 2 + 1))
 
 
-def dominating_set_sr(m: int, n: int, cap: int | None = None) -> SrDominatingSet:
+def equal_pair_bound(m: int, n: int) -> Fraction:
+    """The bound |D| <= C(n + m - 1, m - 2) / 2."""
+    return Fraction(math.comb(n + m - 1, m - 2), 2)
+
+
+def equal_pair_dominators(coords: np.ndarray) -> np.ndarray:
+    """The dominator in D of each vertex row of coords, as a new (k, m) array:
+    the row itself if it is in D, else the adjacent member of D obtained by
+    lowering the larger of the first two coordinates to the smaller and
+    adding the difference to the third."""
+    low = coords[:, :2].min(axis=1)
+    out = coords.copy()
+    out[:, 2] += coords[:, :2].sum(axis=1) - 2 * low
+    out[:, :2] = low[:, None]
+    return out
+
+
+def dominating_set_sr(m: int, n: int, cap: int | None = None) -> np.ndarray:
+    """The set D of vertices of SR(m, n) whose first two coordinates are
+    equal, one read-only int64 (|D|, m) row per member in lexicographic
+    order."""
     if m < 3:
         raise ValueError(f"the equal-pair dominating set needs m >= 3, got m={m}")
     coords = indexed_graph(sr_spec(m, n), cap).coords
     members = coords[coords[:, 0] == coords[:, 1]]
     members.flags.writeable = False
-    return SrDominatingSet(m, n, members)
+    return members
 
 
-@dataclass
-class ConjecturedDomination:
-    """The diagonal candidate set {(i, i, n-2i)} for SR(3, n), with the
-    verdict of its domination scan."""
-
-    n: int
-    vertices: list[Vertex]
-    dominates: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-def conjectured_dominating_set_sr3(n: int, cap: int | None = None) -> ConjecturedDomination:
-    """The diagonal candidates and whether their closed neighbourhoods cover
-    SR(3, n).  Only the candidates' neighbour rows are built, so the scan
-    costs O(n^2), not the whole graph's O(n^3) neighbour array."""
+def conjectured_dominating_set_sr3(n: int, cap: int | None = None) -> tuple[list[Vertex], bool]:
+    """The diagonal candidates {(i, i, n-2i)} for SR(3, n) and whether their
+    closed neighbourhoods cover the graph.  Only the candidates' neighbour
+    rows are built, so the scan costs O(n^2), not the whole graph's O(n^3)
+    neighbour array."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     graph = indexed_graph(sr_spec(3, n), cap)
@@ -314,7 +281,7 @@ def conjectured_dominating_set_sr3(n: int, cap: int | None = None) -> Conjecture
     covered = np.zeros(len(graph.coords), dtype=bool)
     covered[graph.rank(coords)] = True
     covered[graph.neighbour_index(coords)] = True
-    return ConjecturedDomination(n, candidates, bool(covered.all()))
+    return candidates, bool(covered.all())
 
 
 # -- Hamiltonian cycles for SR ---------------------------------------------------
@@ -390,23 +357,10 @@ COSET_CLIQUE = "coset"
 CORE_CLIQUE = "core"
 
 
-@dataclass(frozen=True)
-class Clique:
-    """A pairwise-adjacent vertex set with its structure tag: 'coset' for a
-    two-coordinate transfer line (size n), 'core' for a shifted set of unit
-    bumps (size m)."""
-
-    spec: GraphSpec
-    kind: str
-    vertices: tuple[Vertex, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-def max_clique_csr(m: int, n: int) -> Clique:
-    """A clique of size max(n, m) in CSR(m, n).
+def max_clique_csr(m: int, n: int) -> tuple[str, tuple[Vertex, ...]]:
+    """A clique of size max(n, m) in CSR(m, n) as (kind, members): kind
+    COSET_CLIQUE for a two-coordinate transfer line (size n), CORE_CLIQUE for
+    a shifted set of unit bumps (size m), members in canonical order.
 
     For n >= m this takes the line through the origin moving weight between
     the first two coordinates; otherwise the base point (n-1, 0, ..., 0)
@@ -435,4 +389,4 @@ def max_clique_csr(m: int, n: int) -> Clique:
                     f"clique construction for {spec.label()} produced the "
                     f"non-adjacent pair {members[i]}, {members[j]}"
                 )
-    return Clique(spec, kind, tuple(members))
+    return kind, tuple(members)

@@ -19,9 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .constructions import default_prime
+from .constructions import default_prime, equal_pair_bound
 from .core import CSR, SR, GraphSpec, Vertex, allocate, csr_spec, validate_vertex
 from .errors import CapExceededError
+from .spectral import sr_least_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def bounds_report(spec: GraphSpec) -> list[BoundRecord]:
     p = default_prime(spec)
     out: list[BoundRecord] = []
     if spec.family == SR:
-        total = math.comb(n + m - 1, n)
+        total = spec.vertex_count
         out.append(BoundRecord("alpha", "lower", -(-total // p), f"ceil(C({n+m-1},{n})/{p})"))
         # the spectral bound total/m needs edges; edgeless graphs have alpha = |V|
         if spec.degree > 0:
@@ -227,7 +228,7 @@ def bounds_report(spec: GraphSpec) -> list[BoundRecord]:
         lower = -(-total // (spec.degree + 1))
         out.append(BoundRecord("gamma", "lower", lower, f"ceil(C({n+m-1},{m-1})/{n*(m-1)+1})"))
         if m >= 3:
-            upper = math.comb(n + m - 1, m - 2) // 2
+            upper = math.floor(equal_pair_bound(m, n))
             out.append(BoundRecord("gamma", "upper", upper, f"floor(C({n+m-1},{m-2})/2)"))
         out.append(BoundRecord("diameter", "exact", sr_diameter(m, n), f"min({m-1},{n})"))
     else:
@@ -243,10 +244,10 @@ def bounds_report(spec: GraphSpec) -> list[BoundRecord]:
 
 def hoffman_alpha_bound(m: int, n: int) -> Fraction:
     """Spectral independence bound for SR(m, n) as an exact rational,
-    using the known least eigenvalue max(-n, -C(m, 2))."""
+    using the known least eigenvalue `sr_least_eigenvalue`."""
     spec = GraphSpec(SR, m, n)
     r = spec.degree
-    lam = max(-n, -math.comb(m, 2))
+    lam = sr_least_eigenvalue(m, n)
     if r == 0 or lam == 0:
         return Fraction(spec.vertex_count)  # edgeless: every vertex fits
     return Fraction(-lam, r - lam) * spec.vertex_count

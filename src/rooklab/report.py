@@ -195,26 +195,25 @@ def build_report(
         alpha.constructed = residues.best_size
         alpha.construction = "largest residue class (independent for SR)"
     else:
-        verified = residues.best_verified()
+        verified = residues.verified_size()
         if verified is not None:
-            alpha.constructed = len(verified[1])
+            alpha.constructed = verified
             alpha.construction = "largest residue class passing the independence scan"
     if "alpha" in oracle_names:
         alpha.oracle = oracles.oracle_alpha(spec)[0]
 
     gamma = quantity("gamma", "min")
     if spec.family == SR and spec.m >= 3:
-        dom = dominating_set_sr(spec.m, spec.n, cap=enum_cap)
-        gamma.constructed = dom.size
+        gamma.constructed = len(dominating_set_sr(spec.m, spec.n, cap=enum_cap))
         gamma.construction = "equal-first-two-coordinates dominating set"
     if "gamma" in oracle_names:
         gamma.oracle = oracles.oracle_gamma(spec)[0]
 
     omega = quantity("omega", "max")
     if spec.family == CSR and spec.m >= 2 and spec.n >= 2:
-        clique = max_clique_csr(spec.m, spec.n)
-        omega.constructed = clique.size
-        omega.construction = f"{clique.kind}-type clique"
+        kind, members = max_clique_csr(spec.m, spec.n)
+        omega.constructed = len(members)
+        omega.construction = f"{kind}-type clique"
     if "omega" in oracle_names:
         omega.oracle = oracles.oracle_omega(spec)[0]
 

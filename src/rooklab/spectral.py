@@ -39,6 +39,12 @@ def integer_deviation(eig: np.ndarray) -> float:
     return float(np.max(np.abs(eig - np.round(eig)))) if len(eig) else 0.0
 
 
+def sr_least_eigenvalue(m: int, n: int) -> int:
+    """The least adjacency eigenvalue of SR(m, n), max(-n, -C(m, 2))
+    (Martin & Wagner, Graphs Combin. 2015)."""
+    return max(-n, -math.comb(m, 2))
+
+
 @dataclass(frozen=True)
 class LambdaMinCheck:
     computed: float
@@ -50,10 +56,10 @@ def lambda_min_check(
     spec: GraphSpec, eig: np.ndarray, tolerance: float | None = None
 ) -> LambdaMinCheck:
     """Compare the least eigenvalue eig[0] of an SR graph, from
-    `eigenvalues`, against the known max(-n, -C(m, 2))."""
+    `eigenvalues`, against `sr_least_eigenvalue`."""
     if spec.family != SR:
         raise ValueError(f"least-eigenvalue formula applies to SR only, got {spec.label()}")
-    predicted = max(-spec.n, -math.comb(spec.m, 2))
+    predicted = sr_least_eigenvalue(spec.m, spec.n)
     computed = float(eig[0])
     return LambdaMinCheck(computed, predicted, abs(computed - predicted) <= config.tol(tolerance))
 

@@ -157,11 +157,11 @@ def test_c08_domination_sandwich():
             gamma = oracle_gamma(spec)[0]
             dom = dominating_set_sr(m, n)
             lower = -(-spec.vertex_count // (spec.degree + 1))
-            ok &= lower <= gamma <= dom.size
-            ok &= dom.size == sum(
+            ok &= lower <= gamma <= len(dom)
+            ok &= len(dom) == sum(
                 math.comb(n + m - 3 - 2 * i, m - 3) for i in range(n // 2 + 1)
             )
-            ok &= Fraction(dom.size) <= Fraction(math.comb(n + m - 1, m - 2), 2)
+            ok &= Fraction(len(dom)) <= Fraction(math.comb(n + m - 1, m - 2), 2)
             n += 1
     elapsed = time.monotonic() - start
     _gate(8, "degree bound <= gamma <= |D| with |D| matching its sum formula and half-binomial cap", ok, elapsed)

@@ -11,6 +11,9 @@ from rooklab.constructions import (
     anchor_edge,
     conjectured_dominating_set_sr3,
     dominating_set_sr,
+    equal_pair_bound,
+    equal_pair_dominators,
+    equal_pair_size,
     hamiltonian_cycle_sr,
     max_clique_csr,
     proper_coloring,
@@ -100,8 +103,7 @@ def test_residue_classes_csr32_fail_recorded():
     # the 4-vertex complete graph cannot split into 3 independent classes
     fam = residue_independent_family(csr_spec(3, 2), p=3)
     assert not all(fam.independent)
-    best = fam.best_verified()
-    assert best is not None and len(best[1]) == 1
+    assert fam.verified_size() == 1
 
 
 def test_residue_key_weights():
@@ -131,10 +133,10 @@ def test_residue_family_needs_prime_above_n():
 
 def test_dominating_set_sr32():
     dom = dominating_set_sr(3, 2)
-    assert dom.vertices == [(0, 0, 2), (1, 1, 0)]
-    assert dom.size == 2 == dom.predicted_size()
-    assert dom.witness(np.array([[2, 0, 0]])).tolist() == [[0, 0, 2]]
-    assert dom.coords.flags.writeable is False
+    assert dom.tolist() == [[0, 0, 2], [1, 1, 0]]
+    assert len(dom) == 2 == equal_pair_size(3, 2)
+    assert equal_pair_dominators(np.array([[2, 0, 0]])).tolist() == [[0, 0, 2]]
+    assert dom.flags.writeable is False
 
 
 def test_dominating_set_rejects_small_m():
@@ -146,33 +148,33 @@ def test_dominating_set_rejects_small_m():
 def test_dominating_set_witnesses(m, n):
     spec = sr_spec(m, n)
     dom = dominating_set_sr(m, n)
-    members = set(dom.vertices)
-    assert dom.size == dom.predicted_size()
-    assert dom.size <= dom.size_upper_bound()
+    members = set(map(tuple, dom.tolist()))
+    assert len(dom) == equal_pair_size(m, n)
+    assert len(dom) <= equal_pair_bound(m, n)
     verts = enumerate_vertices(spec)
-    for v, w in zip(verts, map(tuple, dom.witness(np.array(verts)).tolist())):
+    for v, w in zip(verts, map(tuple, equal_pair_dominators(np.array(verts)).tolist())):
         assert w in members
         assert w == v or adjacent(spec, v, w)
 
 
 def test_conjectured_sr3_small():
-    result = conjectured_dominating_set_sr3(2)
-    assert result.vertices == [(0, 0, 2), (1, 1, 0)]
-    assert result.dominates and result.size == 2 == oracle_gamma(sr_spec(3, 2))[0]
+    candidates, dominates = conjectured_dominating_set_sr3(2)
+    assert candidates == [(0, 0, 2), (1, 1, 0)]
+    assert dominates and len(candidates) == 2 == oracle_gamma(sr_spec(3, 2))[0]
 
-    result = conjectured_dominating_set_sr3(4)
-    assert result.dominates and result.size == 3 == oracle_gamma(sr_spec(3, 4))[0]
+    candidates, dominates = conjectured_dominating_set_sr3(4)
+    assert dominates and len(candidates) == 3 == oracle_gamma(sr_spec(3, 4))[0]
 
-    result = conjectured_dominating_set_sr3(0)
-    assert result.vertices == [(0, 0, 0)] and result.dominates
+    candidates, dominates = conjectured_dominating_set_sr3(0)
+    assert candidates == [(0, 0, 0)] and dominates
 
 
 def test_conjectured_sr3_not_always_minimum():
     # the diagonal set dominates but is beaten by gamma = 3 at n = 6; the
     # result records the set, not a claim of minimality
-    result = conjectured_dominating_set_sr3(6)
-    assert result.dominates
-    assert result.size == 4
+    candidates, dominates = conjectured_dominating_set_sr3(6)
+    assert dominates
+    assert len(candidates) == 4
     assert oracle_gamma(sr_spec(3, 6))[0] == 3
 
 
@@ -189,7 +191,7 @@ def neighbors_cover_dominates(n):
 
 def test_conjectured_verdict_matches_neighbors_cover():
     for n in range(41):
-        assert conjectured_dominating_set_sr3(n).dominates == neighbors_cover_dominates(n), n
+        assert conjectured_dominating_set_sr3(n)[1] == neighbors_cover_dominates(n), n
 
 
 # -- Hamiltonian cycles ----------------------------------------------------------
@@ -288,32 +290,32 @@ def test_hamiltonian_out_of_memory_is_cap_error(monkeypatch, m, n, shape):
 
 
 def test_clique_csr42_core():
-    clique = max_clique_csr(4, 2)
-    assert clique.kind == "core"
-    assert set(clique.vertices) == {(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)}
-    assert clique.size == 4 == oracle_omega(csr_spec(4, 2))[0]
+    kind, members = max_clique_csr(4, 2)
+    assert kind == "core"
+    assert set(members) == {(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)}
+    assert len(members) == 4 == oracle_omega(csr_spec(4, 2))[0]
 
 
 def test_clique_csr35_coset():
-    clique = max_clique_csr(3, 5)
-    assert clique.kind == "coset" and clique.size == 5
-    assert set(clique.vertices) == {(c, (5 - c) % 5, 0) for c in range(5)}
+    kind, members = max_clique_csr(3, 5)
+    assert kind == "coset" and len(members) == 5
+    assert set(members) == {(c, (5 - c) % 5, 0) for c in range(5)}
 
 
 def test_clique_csr32_below_oracle():
     # the n=2 gap: construction gives max(n, m) = 3 but the graph is K_4
-    clique = max_clique_csr(3, 2)
-    assert clique.size == 3
+    _, members = max_clique_csr(3, 2)
+    assert len(members) == 3
     assert oracle_omega(csr_spec(3, 2))[0] == 4
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 6) for n in range(2, 6)])
 def test_clique_pairwise_adjacent(m, n):
-    clique = max_clique_csr(m, n)
-    assert clique.size == max(m, n)
+    _, members = max_clique_csr(m, n)
+    assert len(members) == max(m, n)
     spec = csr_spec(m, n)
-    for i, u in enumerate(clique.vertices):
-        for v in clique.vertices[i + 1 :]:
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
             assert adjacent(spec, u, v)
 
 

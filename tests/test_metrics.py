@@ -1,5 +1,6 @@
 """Zero partitionings, CSR distances, diameters, closed-form bounds."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from rooklab import metrics
+from rooklab.constructions import equal_pair_bound, equal_pair_size
 from rooklab.core import csr_spec, enumerate_vertices, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.metrics import (
@@ -393,6 +395,15 @@ def test_bounds_csr45():
 def test_bounds_edgeless_sr():
     report = bound_values(sr_spec(3, 0))
     assert report["alpha", "upper"] == 1  # spectral bound does not apply without edges
+
+
+def test_bounds_gamma_upper_is_equal_pair_bound():
+    # the closed forms checked against each other beyond the enumerated range
+    for m in range(3, 8):
+        for n in range(11):
+            upper = bound_values(sr_spec(m, n))["gamma", "upper"]
+            assert upper == math.floor(equal_pair_bound(m, n)), (m, n)
+            assert upper >= equal_pair_size(m, n), (m, n)
 
 
 def test_hoffman_bound_values():

@@ -532,16 +532,19 @@ def test_cli_oracle_over_cap_prints_no_report(argv, err, capsys):
 @pytest.mark.parametrize(
     "witness,failures",
     [
-        (lambda dom, coords: coords, 35 - 9),
+        (lambda coords: coords, 35 - 9),
         # (0,0,0,4) itself and its 12 neighbours pass
-        (lambda dom, coords: np.broadcast_to(dom.coords[0], coords.shape), 35 - 13),
+        (
+            lambda coords: np.broadcast_to(constructions.dominating_set_sr(4, 4)[0], coords.shape),
+            35 - 13,
+        ),
         # only the 5 vertices (0,0,a,4-a) keep their coordinate sum
-        (lambda dom, coords: np.column_stack((0 * coords[:, :2], coords[:, 2:])), 35 - 5),
+        (lambda coords: np.column_stack((0 * coords[:, :2], coords[:, 2:])), 35 - 5),
     ],
     ids=["identity", "first-member", "zeroed-pair"],
 )
 def test_cli_dominating_set_counts_witness_failures(witness, failures, monkeypatch, capsys):
-    monkeypatch.setattr(constructions.SrDominatingSet, "witness", witness)
+    monkeypatch.setattr(constructions, "equal_pair_dominators", witness)
     argv = ("construct", "dominating-set", "-m", "4", "-n", "4")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
