@@ -2,10 +2,12 @@
 independent count of all adjacency-preserving bijections.
 
 Every CSR automorphism (for m, n > 3) is: permute coordinates, scale by a
-unit mod n, translate by a zero-sum vector.  The group order is therefore
-m! * phi(n) * n^(m-1).  Outside that parameter range the parametrized maps
-are still automorphisms but may not exhaust the group, so results carry an
-outside-hypothesis flag and the oracle count documents the difference.
+unit mod n, translate by a zero-sum vector.  `enumerate_group` yields each
+such map as a plain descriptor tuple (sigma, c, d).  The group order is
+therefore m! * phi(n) * n^(m-1).  Outside that parameter range the
+parametrized maps are still automorphisms but may not exhaust the group, so
+results carry an outside-hypothesis flag and the oracle count documents the
+difference.
 
 The oracle counts by orbit-stabilizer along a stabilizer chain (the idea
 behind nauty): with G_(B_k) the automorphisms fixing v_0..v_{k-1} pointwise,
@@ -26,39 +28,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import config
 from .core import GraphSpec, csr_spec
 from .oracles import _bit_graph, _bits
-
-
-@dataclass(frozen=True)
-class AutDescriptor:
-    """One parametrized automorphism of CSR(m, n).
-
-    Output coordinate i is c * x[sigma[i]] + d[i] mod n; sigma is a
-    permutation of 0..m-1, c a unit mod n, d a zero-sum offset vector.
-    """
-
-    n: int
-    sigma: tuple[int, ...]
-    c: int
-    d: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.sigma)
-        if sorted(self.sigma) != list(range(m)):
-            raise ValueError(f"sigma={self.sigma} is not a permutation of 0..{m - 1}")
-        if len(self.d) != m:
-            raise ValueError(f"offset vector has length {len(self.d)}, expected {m}")
-        if not 0 <= self.c < self.n or math.gcd(self.c, self.n) != 1:
-            raise ValueError(f"c={self.c} is not a unit mod {self.n}")
-        if any(not 0 <= x < self.n for x in self.d):
-            raise ValueError(f"offset entries must lie in 0..{self.n - 1}: {self.d}")
-        if sum(self.d) % self.n != 0:
-            raise ValueError(f"offset vector must sum to 0 mod {self.n}: {self.d}")
 
 
 def _units(n: int) -> list[int]:
@@ -80,15 +54,17 @@ def outside_hypothesis(m: int, n: int) -> bool:
     return not (m > 3 and n > 3)
 
 
-def enumerate_group(m: int, n: int) -> Iterator[AutDescriptor]:
-    """All descriptors, each exactly once, in lexicographic order of
-    (sigma, c, offset prefix); the last offset entry is determined."""
+def enumerate_group(m: int, n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """All descriptors (sigma, c, d), each exactly once, in lexicographic
+    order of (sigma, c, offset prefix); the last offset entry is determined.
+    The map sends coordinate i to c * x[sigma[i]] + d[i] mod n: sigma
+    permutes 0..m-1, c is a unit mod n and d is a zero-sum offset vector."""
     csr_spec(m, n)
     for sigma in itertools.permutations(range(m)):
         for c in _units(n):
             for prefix in itertools.product(range(n), repeat=m - 1):
                 d = prefix + ((-sum(prefix)) % n,)
-                yield AutDescriptor(n, sigma, c, d)
+                yield sigma, c, d
 
 
 # -- independent count by orbit-stabilizer -----------------------------------

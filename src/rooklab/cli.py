@@ -287,11 +287,11 @@ def _cmd_aut(args) -> int:
         f"outside-hypothesis={'yes' if outside else 'no'}"
     )
     count = 0
-    for desc in automorphisms.enumerate_group(m, n):
+    for sigma, c, d in automorphisms.enumerate_group(m, n):
         count += 1
         if not args.count_only:
-            sigma = ",".join(str(s + 1) for s in desc.sigma)
-            print(f"descriptor sigma={sigma} c={desc.c} d={format_vertex(desc.d)}")
+            perm = ",".join(str(s + 1) for s in sigma)
+            print(f"descriptor sigma={perm} c={c} d={format_vertex(d)}")
     print(f"enumerated count={count} matches-formula={'yes' if count == order else 'no'}")
     if oracle_count is not None:
         agree = oracle_count == order

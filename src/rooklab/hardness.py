@@ -1,10 +1,11 @@
 """3-Partition encoded as a CSR distance query, with an independent solver.
 
-A valid instance (k, s, a_1..a_3k) maps to the vertex (a_1, ..., a_3k) of
-CSR(3k, s).  The range constraint s/4 < a_i < s/2 forces every zero-sum
-block to have at least three elements, so the distance from the origin is
-2k exactly when the instance is a yes-instance.  The independent solver
-enumerates partitions of the index set into triples directly.
+`run_reduction` maps a valid instance (k, s, a_1..a_3k) to the vertex
+(a_1, ..., a_3k) of CSR(3k, s) and decodes its origin distance.  The range
+constraint s/4 < a_i < s/2 forces every zero-sum block to have at least
+three elements, so the distance from the origin is 2k exactly when the
+instance is a yes-instance.  The independent solver enumerates partitions
+of the index set into triples directly.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ class ThreePartitionInstance:
         total = sum(self.values)
         if total != self.k * self.s:
             raise ValueError(f"sum mismatch: values sum to {total}, expected k*s={self.k * self.s}")
-
-
-def encode_instance(inst: ThreePartitionInstance) -> tuple[GraphSpec, Vertex]:
-    """The CSR(3k, s) spec and the vertex carrying the instance values."""
-    return csr_spec(3 * inst.k, inst.s), tuple(inst.values)
-
-
-def decode_distance(inst: ThreePartitionInstance, distance: int) -> bool:
-    """Yes-instance iff the origin distance equals 2k."""
-    return distance == 2 * inst.k
 
 
 def solve_3partition(inst: ThreePartitionInstance) -> tuple[bool, list[tuple[int, int, int]] | None]:
@@ -96,14 +87,13 @@ class ReductionResult:
 
 
 def run_reduction(inst: ThreePartitionInstance, mask_cap: int | None = None) -> ReductionResult:
-    """Encode, compute the origin distance, decode, and cross-check against
+    """Encode the values as a vertex of CSR(3k, s), compute its origin
+    distance, decode (yes iff the distance is 2k), and cross-check against
     the exhaustive solver."""
-    spec, vertex = encode_instance(inst)
-    origin = (0,) * spec.m
-    distance, witness = csr_distance_witness(spec, origin, vertex, mask_cap)
-    decoded = decode_distance(inst, distance)
+    spec = csr_spec(3 * inst.k, inst.s)
+    distance, witness = csr_distance_witness(spec, (0,) * spec.m, inst.values, mask_cap)
     answer, _ = solve_3partition(inst)
-    return ReductionResult(inst, spec, vertex, distance, witness, decoded, answer)
+    return ReductionResult(inst, spec, inst.values, distance, witness, distance == 2 * inst.k, answer)
 
 
 # -- instance file format ----------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Adjacency spectra: the dense eigensolve, integrality verdicts, least
-eigenvalue checks, and the closed-form CSR spectrum.
+"""Adjacency spectra: the dense eigensolve, integrality verdicts, the SR
+least eigenvalue formula, and the closed-form CSR spectrum.
 
 `eigenvalues` is the package's one eigensolve.  CSR(m, n) is a Cayley graph
 on the zero-sum subgroup H of Z_n^m with connection set
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .core import SR, GraphSpec, check_cap, csr_spec, indexed_graph
+from .core import GraphSpec, check_cap, csr_spec, indexed_graph
 
 
 def eigenvalues(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
@@ -43,25 +42,6 @@ def sr_least_eigenvalue(m: int, n: int) -> int:
     """The least adjacency eigenvalue of SR(m, n), max(-n, -C(m, 2))
     (Martin & Wagner, Graphs Combin. 2015)."""
     return max(-n, -math.comb(m, 2))
-
-
-@dataclass(frozen=True)
-class LambdaMinCheck:
-    computed: float
-    predicted: int
-    ok: bool
-
-
-def lambda_min_check(
-    spec: GraphSpec, eig: np.ndarray, tolerance: float | None = None
-) -> LambdaMinCheck:
-    """Compare the least eigenvalue eig[0] of an SR graph, from
-    `eigenvalues`, against `sr_least_eigenvalue`."""
-    if spec.family != SR:
-        raise ValueError(f"least-eigenvalue formula applies to SR only, got {spec.label()}")
-    predicted = sr_least_eigenvalue(spec.m, spec.n)
-    computed = float(eig[0])
-    return LambdaMinCheck(computed, predicted, abs(computed - predicted) <= config.tol(tolerance))
 
 
 def csr_character_spectrum(m: int, n: int, cap: int | None = None) -> np.ndarray:

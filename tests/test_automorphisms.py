@@ -6,7 +6,6 @@ import math
 import pytest
 
 from rooklab.automorphisms import (
-    AutDescriptor,
     enumerate_group,
     euler_phi,
     group_order_formula,
@@ -24,44 +23,35 @@ from reference import edges
 def test_identity_fixes_everything():
     desc = identity_descriptor(4, 3)
     for v in enumerate_vertices(csr_spec(4, 3)):
-        assert apply_automorphism(desc, v) == v
+        assert apply_automorphism(3, desc, v) == v
 
 
 def test_coordinate_swap_on_csr42():
-    desc = AutDescriptor(2, (1, 0, 2, 3), 1, (0, 0, 0, 0))
-    assert apply_automorphism(desc, (1, 1, 0, 0)) == (1, 1, 0, 0)
-    assert apply_automorphism(desc, (1, 0, 1, 0)) == (0, 1, 1, 0)
-    assert preserves_adjacency(desc, edge_array(edges(csr_spec(4, 2))))
+    desc = (1, 0, 2, 3), 1, (0, 0, 0, 0)
+    assert apply_automorphism(2, desc, (1, 1, 0, 0)) == (1, 1, 0, 0)
+    assert apply_automorphism(2, desc, (1, 0, 1, 0)) == (0, 1, 1, 0)
+    assert preserves_adjacency(2, desc, edge_array(edges(csr_spec(4, 2))))
 
 
 def test_preserves_adjacency_rejects_a_non_edge():
     # the identity maps a non-adjacent pair to itself, so the scan must fail
     spec = csr_spec(4, 2)
     non_edge = [((0, 0, 0, 0), (1, 1, 1, 1))]
-    assert not preserves_adjacency(identity_descriptor(4, 2), edge_array(edges(spec) + non_edge))
-
-
-def test_descriptor_validation():
-    with pytest.raises(ValueError, match="permutation"):
-        AutDescriptor(3, (0, 0, 1), 1, (0, 0, 0))
-    with pytest.raises(ValueError, match="unit"):
-        AutDescriptor(4, (0, 1), 2, (0, 0))
-    with pytest.raises(ValueError, match="sum to 0"):
-        AutDescriptor(3, (0, 1), 1, (1, 0))
+    assert not preserves_adjacency(2, identity_descriptor(4, 2), edge_array(edges(spec) + non_edge))
 
 
 def test_apply_produces_valid_vertices_and_preserves_adjacency():
     spec = csr_spec(3, 3)
     edge_list = edge_array(edges(spec))
     samples = [
-        AutDescriptor(3, (2, 0, 1), 2, (1, 2, 0)),
-        AutDescriptor(3, (1, 2, 0), 1, (2, 2, 2)),
-        AutDescriptor(3, (0, 2, 1), 2, (0, 0, 0)),
+        ((2, 0, 1), 2, (1, 2, 0)),
+        ((1, 2, 0), 1, (2, 2, 2)),
+        ((0, 2, 1), 2, (0, 0, 0)),
     ]
     for desc in samples:
-        images = {v: apply_automorphism(desc, v) for v in enumerate_vertices(spec)}
+        images = {v: apply_automorphism(3, desc, v) for v in enumerate_vertices(spec)}
         assert sorted(images.values()) == enumerate_vertices(spec)  # bijective
-        assert preserves_adjacency(desc, edge_list)
+        assert preserves_adjacency(3, desc, edge_list)
 
 
 def test_euler_phi():
@@ -85,6 +75,11 @@ def test_enumeration_matches_formula(m, n):
     descriptors = list(enumerate_group(m, n))
     assert len(descriptors) == group_order_formula(m, n)
     assert len(set(descriptors)) == len(descriptors)
+    for sigma, c, d in descriptors:
+        # a permutation, a unit and a zero-sum offset vector of entries mod n
+        assert sorted(sigma) == list(range(m))
+        assert 0 <= c < n and math.gcd(c, n) == 1
+        assert len(d) == m and all(0 <= x < n for x in d) and sum(d) % n == 0
 
 
 def test_enumeration_order_deterministic():
@@ -118,7 +113,7 @@ def test_descriptor_maps_injective_small():
     verts = enumerate_vertices(spec)
     maps = set()
     for desc in enumerate_group(3, 2):
-        maps.add(tuple(apply_automorphism(desc, v) for v in verts))
+        maps.add(tuple(apply_automorphism(2, desc, v) for v in verts))
     assert len(maps) == group_order_formula(3, 2)
 
 
@@ -129,7 +124,7 @@ def test_descriptor_maps_injective_csr44():
     verts = enumerate_vertices(spec)
     maps = set()
     for desc in enumerate_group(4, 4):
-        maps.add(tuple(apply_automorphism(desc, v) for v in verts))
+        maps.add(tuple(apply_automorphism(4, desc, v) for v in verts))
     assert len(maps) == 3072
 
 

@@ -15,7 +15,9 @@ and the residue independent sets were made one result; and the
 was built, checked and written as one array; and the `--conjectured`
 `dominating-set` rows before the exact-gamma comparison moved from
 `constructions` into the CLI; and the `dominating-set` rows on SR(5,4),
-SR(3,0) and SR(6,3) before its witness check became one array pass.  So
+SR(3,0) and SR(6,3) before its witness check became one array pass; and
+the `aut -m 3 -n 3` descriptor dump before the descriptors became plain
+tuples.  So
 any change in what those commands print or write shows up here.  The
 distance queries are chosen so that several optimal blocks tie, which pins
 the witness tie-break.  Re-record only for an
@@ -172,6 +174,12 @@ GOLDEN = [
         "aut -m 4 -n 3 --count-only",
         0,
         "147158cfaa71f420f4598da60400de311fbe65c9d315b7e0e34f3b953f24ef7b",
+        {},
+    ),
+    (
+        "aut -m 3 -n 3",
+        0,
+        "85b0204866b39b33df5fcf6c4eac59e146f68af80939b36e01df5ade42a99dfc",
         {},
     ),
     (

@@ -1,4 +1,5 @@
-"""The 3-Partition encoding, its decoder, and the independent solver."""
+"""The 3-Partition reduction to a CSR distance query, and the independent
+solver."""
 
 import io
 
@@ -6,8 +7,6 @@ import pytest
 
 from rooklab.hardness import (
     ThreePartitionInstance,
-    decode_distance,
-    encode_instance,
     read_instance,
     run_reduction,
     solve_3partition,
@@ -34,21 +33,21 @@ def test_instance_validation_examples():
 
 
 def test_encode():
-    spec, vertex = encode_instance(ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3)))
-    assert (spec.family, spec.m, spec.n) == ("CSR", 6, 10)
-    assert vertex == (4, 4, 3, 3, 3, 3)
+    result = run_reduction(ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3)))
+    assert (result.spec.family, result.spec.m, result.spec.n) == ("CSR", 6, 10)
+    assert result.vertex == (4, 4, 3, 3, 3, 3)
 
 
 def test_decode_yes_instances():
     inst = ThreePartitionInstance(1, 3, (1, 1, 1))
-    spec, vertex = encode_instance(inst)
-    dist = csr_distance(spec, (0, 0, 0), vertex)
-    assert dist == 2 and decode_distance(inst, dist)
+    result = run_reduction(inst)
+    assert result.distance == csr_distance(result.spec, (0, 0, 0), (1, 1, 1)) == 2
+    assert result.decoded
 
     inst = ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3))
-    spec, vertex = encode_instance(inst)
-    dist = csr_distance(spec, (0,) * 6, vertex)
-    assert dist == 4 and decode_distance(inst, dist)
+    result = run_reduction(inst)
+    assert result.distance == csr_distance(result.spec, (0,) * 6, inst.values) == 4
+    assert result.decoded
 
 
 def test_decode_no_instance():

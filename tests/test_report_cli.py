@@ -229,7 +229,17 @@ def test_cli_analyze_strict_discrepancy_exit(capsys):
 # Known discrepancies: the table claims chi(CSR(m,n)) <= p, the least prime
 # >= max(m, n), but the proof covers only p = n.  Each row stays reported.
 @pytest.mark.parametrize(
-    "m,n,chi,p", [(3, 2, 4, 3), (3, 4, 6, 5), (3, 6, 8, 7), (4, 3, 7, 5), (4, 4, 7, 5), (5, 2, 8, 5)]
+    "m,n,chi,p",
+    [
+        (3, 2, 4, 3),
+        (3, 4, 6, 5),
+        (3, 6, 8, 7),
+        (4, 3, 7, 5),
+        (4, 4, 7, 5),
+        (5, 2, 8, 5),
+        (6, 2, 8, 7),
+        (7, 2, 8, 7),
+    ],
 )
 def test_cli_analyze_reports_chi_above_prime_bound(m, n, chi, p, capsys):
     code, out, _ = run_cli(

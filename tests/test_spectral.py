@@ -1,4 +1,4 @@
-"""Dense spectra, integrality, least-eigenvalue checks, the closed-form CSR
+"""Dense spectra, integrality, the SR least eigenvalue, the closed-form CSR
 spectrum."""
 
 import math
@@ -15,7 +15,7 @@ from rooklab.spectral import (
     csr_character_spectrum,
     eigenvalues,
     integer_deviation,
-    lambda_min_check,
+    sr_least_eigenvalue,
 )
 
 from reference import neighbors
@@ -56,15 +56,8 @@ def test_integer_deviation():
     [(3, 2, -2), (3, 4, -3), (2, 5, -1)],
 )
 def test_lambda_min_examples(m, n, expected):
-    spec = sr_spec(m, n)
-    chk = lambda_min_check(spec, eigenvalues(spec))
-    assert chk.predicted == expected == max(-n, -math.comb(m, 2))
-    assert chk.ok
-
-
-def test_lambda_min_rejects_csr():
-    with pytest.raises(ValueError):
-        lambda_min_check(csr_spec(3, 3), eigenvalues(csr_spec(3, 3)))
+    assert sr_least_eigenvalue(m, n) == expected == max(-n, -math.comb(m, 2))
+    assert abs(eigenvalues(sr_spec(m, n))[0] - expected) <= 1e-6
 
 
 def test_character_spectrum_matches_dense():
