@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--oracle",
         default="none",
-        help="'all', 'none', or comma list from alpha,gamma,omega,chi,diameter",
+        help=f"'all', 'none', or comma list from {','.join(report.ORACLE_QUANTITIES)}",
     )
     p.add_argument("--json", default=None, help="also write the report as JSON to this path")
 

@@ -99,7 +99,7 @@ def run_reduction(inst: ThreePartitionInstance, mask_cap: int | None = None) -> 
 # -- instance file format ----------------------------------------------------------
 #
 # line 1:  k s
-# line 2:  the 3k values, whitespace-separated
+# then:    the 3k values, whitespace-separated, on one or more lines
 
 
 def read_instance(infile: IO[str]) -> ThreePartitionInstance:
@@ -107,6 +107,7 @@ def read_instance(infile: IO[str]) -> ThreePartitionInstance:
     if len(first) != 2:
         raise ValueError("first line must be 'k s'")
     k, s = int(first[0]), int(first[1])
-    values = tuple(int(tok) for tok in infile.readline().split())
+    # every later token is a value, so trailing junk fails the parse or the count
+    values = tuple(int(tok) for tok in infile.read().split())
     return ThreePartitionInstance(k, s, values)
 

@@ -1,6 +1,12 @@
 """Analysis reports: one record per graph quantity, combining constructed
 values, closed-form bounds, and optional oracle runs into a verdict.
 
+`build_report` makes one pass over QUANTITIES, the (name, kind) table that
+also names the `--oracle` choices.  Each record takes its bounds from
+`bounds_report`, its constructed value from one name -> construction map and
+its oracle value from one name -> search map; the coloring and spectral
+checks follow.
+
 Verdicts: 'certified' (oracle ran, every claim holds), 'discrepancy'
 (some claim fails against the oracle or against another claim),
 'bound-consistent' (no oracle, claims mutually consistent),
@@ -14,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 
 from . import config
 from .constructions import (
-    default_prime,
     equal_pair_size,
     max_clique_csr,
     residue_independent_family,
@@ -27,7 +32,16 @@ from .metrics import (
     csr_eccentric_vertex,
 )
 
-ORACLE_QUANTITIES = ("alpha", "gamma", "omega", "chi", "diameter")
+# every quantity `analyze` reports, in report order, with its kind: 'max'
+# (a construction is a lower witness), 'min' (an upper witness) or 'exact'
+QUANTITIES = (
+    ("alpha", "max"),
+    ("gamma", "min"),
+    ("omega", "max"),
+    ("chi", "min"),
+    ("diameter", "exact"),
+)
+ORACLE_QUANTITIES = tuple(name for name, _ in QUANTITIES)
 
 CERTIFIED = "certified"
 BOUND_CONSISTENT = "bound-consistent"
@@ -174,120 +188,73 @@ def build_report(
     mask_cap: int | None = None,
     tolerance: float | None = None,
 ) -> AnalysisReport:
-    """Full analysis of one graph: alpha, gamma, omega, chi, diameter, and
-    the spectral/coloring checks, with oracles run for the named quantities."""
+    """Full analysis of one graph: one record per row of QUANTITIES, then the
+    coloring and spectral checks, with oracles run for the named quantities."""
     from . import oracles, spectral
-
-    report = AnalysisReport(spec, default_prime(spec), bounds=bounds_report(spec))
-    bound = {(b.quantity, b.side): b.value for b in report.bounds}
-
-    def quantity(name: str, kind: str) -> QuantityRecord:
-        """A new record carrying every bound the table holds for `name`."""
-        sides = {side: bound.get((name, side)) for side in ("lower", "upper", "exact")}
-        report.records.append(QuantityRecord(name, kind, **sides))
-        return report.records[-1]
 
     # one residue partition: its classes bound alpha, its colouring chi; its
     # scan also holds the graph to the enumeration cap
     residues = residue_independent_family(spec, cap=enum_cap)
+    report = AnalysisReport(spec, residues.p, bounds=bounds_report(spec))
+    bound = {(b.quantity, b.side): b.value for b in report.bounds}
 
-    alpha = quantity("alpha", "max")
+    def check(name: str, claimed: bool, passed: bool | None, detail: str) -> None:
+        report.checks.append(CheckRecord(name, claimed, passed, detail))
+
+    # name -> (constructed value, construction), where a construction applies
+    built: dict[str, tuple[int, str]] = {}
     if spec.family == SR:
-        alpha.constructed = residues.best_size
-        alpha.construction = "largest residue class (independent for SR)"
-    else:
-        verified = residues.verified_size()
-        if verified is not None:
-            alpha.constructed = verified
-            alpha.construction = "largest residue class passing the independence scan"
-    if "alpha" in oracle_names:
-        alpha.oracle = oracles.oracle_alpha(spec)[0]
-
-    gamma = quantity("gamma", "min")
+        built["alpha"] = residues.best_size, "largest residue class (independent for SR)"
+    elif (verified := residues.verified_size()) is not None:
+        built["alpha"] = verified, "largest residue class passing the independence scan"
     if spec.family == SR and spec.m >= 3:
-        gamma.constructed = equal_pair_size(spec.m, spec.n)
-        gamma.construction = "equal-first-two-coordinates dominating set"
-    if "gamma" in oracle_names:
-        gamma.oracle = oracles.oracle_gamma(spec)[0]
-
-    omega = quantity("omega", "max")
+        size = equal_pair_size(spec.m, spec.n)
+        built["gamma"] = size, "equal-first-two-coordinates dominating set"
     if spec.family == CSR and spec.m >= 2 and spec.n >= 2:
-        kind, members = max_clique_csr(spec.m, spec.n)
-        omega.constructed = len(members)
-        omega.construction = f"{kind}-type clique"
-    if "omega" in oracle_names:
-        omega.oracle = oracles.oracle_omega(spec)[0]
-
-    # chi, with the residue coloring scan as a check record
-    report.checks.append(
-        CheckRecord(
-            "residue-coloring",
-            claimed=True,
-            passed=residues.proper,
-            detail=f"p={residues.p} proper={residues.proper} violations={residues.violations}"
-            + residues.first_text(),
-        )
-    )
-    chi = quantity("chi", "min")
+        shape, clique = max_clique_csr(spec.m, spec.n)
+        built["omega"] = len(clique), f"{shape}-type clique"
     if residues.proper:
-        chi.constructed = residues.p
-        chi.construction = "residue coloring (scan passed)"
-    if "chi" in oracle_names:
-        chi.oracle = oracles.oracle_chi(spec)[0]
+        built["chi"] = residues.p, "residue coloring (scan passed)"
 
-    diam = quantity("diameter", "exact")
-    if spec.family == CSR:
-        witness = csr_eccentric_vertex(spec.m, spec.n)
-        wdist = csr_distance(spec, (0,) * spec.m, witness, mask_cap)
-        diam.notes = (f"eccentric vertex {format_vertex(witness)} at origin distance {wdist}",)
-        if wdist != diam.exact:
-            diam.problems = (f"witness distance {wdist} != formula {diam.exact}",)
-    if "diameter" in oracle_names:
-        _, dist = oracles.all_pairs_distances(spec)
-        diam.oracle = int(dist.max())
-    for record in report.records:
+    search = {
+        "alpha": lambda: oracles.oracle_alpha(spec)[0],
+        "gamma": lambda: oracles.oracle_gamma(spec)[0],
+        "omega": lambda: oracles.oracle_omega(spec)[0],
+        "chi": lambda: oracles.oracle_chi(spec)[0],
+        "diameter": lambda: int(oracles.all_pairs_distances(spec)[1].max()),
+    }
+    for name, kind in QUANTITIES:
+        sides = {side: bound.get((name, side)) for side in ("lower", "upper", "exact")}
+        record = QuantityRecord(name, kind, *built.get(name, (None, None)), **sides)
+        if name == "diameter" and spec.family == CSR:
+            witness = csr_eccentric_vertex(spec.m, spec.n)
+            wdist = csr_distance(spec, (0,) * spec.m, witness, mask_cap)
+            note = f"eccentric vertex {format_vertex(witness)} at origin distance {wdist}"
+            record.notes = (note,)
+            if wdist != record.exact:
+                record.problems = (f"witness distance {wdist} != formula {record.exact}",)
+        if name in oracle_names:
+            record.oracle = search[name]()
         record.evaluate()
+        report.records.append(record)
 
-    # spectral checks
-    if spec.vertex_count <= config.eig_cap(eig_cap):
-        eig = spectral.eigenvalues(spec, eig_cap)
-        deviation = spectral.integer_deviation(eig)
-        report.checks.append(
-            CheckRecord(
-                "spectral-integrality",
-                claimed=spec.family == SR,
-                passed=deviation <= config.tol(tolerance),
-                detail=f"max integer deviation {deviation:.3e}",
-            )
-        )
-        if spec.family == SR:
-            computed = float(eig[0])
-            predicted = spectral.sr_least_eigenvalue(spec.m, spec.n)
-            report.checks.append(
-                CheckRecord(
-                    "lambda-min",
-                    claimed=True,
-                    passed=abs(computed - predicted) <= config.tol(tolerance),
-                    detail=f"computed {computed:.6f} predicted {predicted}",
-                )
-            )
-        else:
-            chars = spectral.csr_character_spectrum(spec.m, spec.n, enum_cap)
-            report.checks.append(
-                CheckRecord(
-                    "character-spectrum-match",
-                    claimed=True,
-                    passed=bool(abs(eig - chars).max() <= config.tol(tolerance)),
-                    detail="character sums vs dense eigensolve",
-                )
-            )
+    detail = f"p={residues.p} proper={residues.proper} violations={residues.violations}"
+    check("residue-coloring", True, residues.proper, detail + residues.first_text())
+    if spec.vertex_count > config.eig_cap(eig_cap):
+        check("spectral-integrality", False, None, "skipped: vertex count over eigensolver cap")
+        return report
+    eig = spectral.eigenvalues(spec, eig_cap)
+    tol = config.tol(tolerance)  # read only once there is a spectrum to check
+    deviation = spectral.integer_deviation(eig)
+    detail = f"max integer deviation {deviation:.3e}"
+    check("spectral-integrality", spec.family == SR, deviation <= tol, detail)
+    if spec.family == SR:
+        computed = float(eig[0])
+        predicted = spectral.sr_least_eigenvalue(spec.m, spec.n)
+        detail = f"computed {computed:.6f} predicted {predicted}"
+        check("lambda-min", True, abs(computed - predicted) <= tol, detail)
     else:
-        report.checks.append(
-            CheckRecord(
-                "spectral-integrality",
-                claimed=False,
-                passed=None,
-                detail="skipped: vertex count over eigensolver cap",
-            )
-        )
+        chars = spectral.csr_character_spectrum(spec.m, spec.n, enum_cap)
+        passed = bool(abs(eig - chars).max() <= tol)
+        check("character-spectrum-match", True, passed, "character sums vs dense eigensolve")
     return report

@@ -17,7 +17,8 @@ was built, checked and written as one array; and the `--conjectured`
 `constructions` into the CLI; and the `dominating-set` rows on SR(5,4),
 SR(3,0) and SR(6,3) before its witness check became one array pass; and
 the `aut -m 3 -n 3` descriptor dump before the descriptors became plain
-tuples.  So
+tuples; and the `analyze --json` rows with oracles or over the eigensolver
+cap before the report was built from one quantity table.  So
 any change in what those commands print or write shows up here.  The
 distance queries are chosen so that several optimal blocks tie, which pins
 the witness tie-break.  Re-record only for an
@@ -205,6 +206,38 @@ GOLDEN = [
         0,
         "338835032e908dd4d0a9dff64d3dafb6b7fcdc7e7c9858cf0b7a0903fd15882c",
         {},
+    ),
+    (  # oracle values in the JSON, with the chi discrepancy
+        "analyze --family csr -m 4 -n 4 --oracle all --json report.json",
+        0,
+        "338835032e908dd4d0a9dff64d3dafb6b7fcdc7e7c9858cf0b7a0903fd15882c",
+        {
+            "report.json": "82f973d65b1342a80de16d09383c8c2fb7906e47c1aaec77714de33b8e9661da",
+        },
+    ),
+    (  # a partial oracle selection
+        "analyze --family sr -m 3 -n 6 --oracle gamma,diameter --json report.json",
+        0,
+        "a4b8cf3027eb0d9a2641bdc5a170118229dca831e578c60e2117e53ce210a69a",
+        {
+            "report.json": "257b58588370ec060d718ee5679e4148b542d633e63e18a5292367895002c4ae",
+        },
+    ),
+    (  # over the eigensolver cap
+        "analyze --family sr -m 7 -n 9 --json report.json",
+        0,
+        "99bce0aabf134af1ef25c045d1ef2a28aaa70a0f37e92fa2fdf715b671194dec",
+        {
+            "report.json": "c9ce093587ebbc997bdc49e86f8996832a9706033fdda81d2cd0c8c92fa613db",
+        },
+    ),
+    (
+        "analyze --family csr -m 7 -n 4 --json report.json",
+        0,
+        "9de20c8a2e318def52011083709397c3e5328e06b807dc336cde011777f8cb64",
+        {
+            "report.json": "bc3b12e172eb7005bd2cba507b2cee3ec0a7e18e8454663e325b7c0bd324d1b9",
+        },
     ),
     (
         "construct clique --family csr -m 5 -n 3",

@@ -92,3 +92,20 @@ def test_file_round_trip():
 def test_file_parse_errors():
     with pytest.raises(ValueError, match="k s"):
         read_instance(io.StringIO("1 2 3\n1 1 1\n"))
+
+
+def test_file_values_may_wrap_lines():
+    inst = read_instance(io.StringIO("2 10\n4 4 3\n3\n3 3\n"))
+    assert inst == ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "text,err",
+    [
+        ("1 10\n3 3 4\nextra\n", "invalid literal"),
+        ("1 10\n3 3 4\n5\n", "expected 3 values, got 4"),
+    ],
+)
+def test_file_trailing_tokens_rejected(text, err):
+    with pytest.raises(ValueError, match=err):
+        read_instance(io.StringIO(text))

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from rooklab import oracles
-from rooklab.constructions import anchor_edge, hamiltonian_cycle_sr
+from rooklab.constructions import anchor_edge, default_prime, hamiltonian_cycle_sr
 from rooklab.core import (
     adjacent,
     csr_spec,
     enumerate_vertices,
+    indexed_graph,
     sr_spec,
     validate_vertex,
 )
@@ -466,6 +467,22 @@ def test_k_coloring_matches_scan_on_random_graphs(seed):
         if got is not None:
             break
     assert all(got[u] != got[w] for u in range(nv) for w in _bits(adj[u]))
+
+
+def test_chi_csr_3_10_above_prime_bound():
+    # chi >= ceil(N / alpha) because each colour class is independent, and a
+    # proper colouring with that many colours exists, so chi(CSR(3,10)) = 12,
+    # above the table's p = 11.  `oracle_chi` counts up from omega = 10 and
+    # did not finish in 120 s on a 2-vCPU host; this route takes 0.13 s.
+    spec = csr_spec(3, 10)
+    alpha = oracle_alpha(spec)[0]
+    verts, adj = _bit_graph(spec)
+    k = -(-len(verts) // alpha)
+    assert (alpha, k) == (9, 12)
+    colors = np.array(_k_coloring(adj, k, _max_clique_bits(adj, len(verts))))
+    u, v = indexed_graph(spec).edge_index()
+    assert (colors[u] != colors[v]).all()
+    assert colors.max() + 1 == k > default_prime(spec) == 11
 
 
 def cycle_graph(nv):

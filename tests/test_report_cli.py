@@ -586,6 +586,14 @@ def test_cli_reduce_3partition(tmp_path, capsys):
     assert "agree=yes" in out
 
 
+def test_cli_reduce_3partition_trailing_junk_exits_1(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("1 10\n3 3 4\nextra\n")
+    code, out, err = run_cli(capsys, "reduce-3partition", "--instance", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid literal for int()")
+
+
 def test_cli_aut_mismatch_outside_hypothesis_not_strict_failure(capsys):
     # CSR(4,2) has more symmetries than the parametrized maps; with m or n
     # at most 3 that is documented, not a discrepancy
@@ -655,6 +663,23 @@ def test_cli_malformed_env_names_variable(name, noun, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", "--family", "csr", "-m", "3", "-n", "3")
     assert code == 1
     assert err == f"error: {name}='abc' is not {noun}\n"
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [  # no eigensolve runs, so the tolerance is never read
+        ("ROOKLAB_TOL", "analyze --family sr -m 7 -n 9"),
+        ("ROOKLAB_TOL", "analyze --family csr -m 3 -n 3 --eig-cap 0"),
+        # SR has no diameter witness, so the mask limit is never read (the CSR
+        # witness reads it: test_cli_malformed_env_names_variable)
+        ("ROOKLAB_MASK_LIMIT", "analyze --family sr -m 3 -n 3"),
+    ],
+)
+def test_cli_unread_env_limit_is_not_parsed(name, argv, capsys, monkeypatch):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.endswith("summary discrepancy=no\n")
 
 
 @pytest.mark.parametrize(
