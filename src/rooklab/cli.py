@@ -220,7 +220,7 @@ def _cmd_dominating_set(args) -> int:
 def _cmd_hamiltonian(args) -> int:
     cycle = constructions.hamiltonian_cycle_sr(args.m, args.n, cap=args.enum_cap)
     anchor = constructions.anchor_edge(args.m, args.n)
-    verdict = oracles.verify_cycle(_spec_from_args(args), cycle, anchor)
+    reason = oracles.verify_cycle(_spec_from_args(args), cycle, anchor)
     if args.out:  # before any output, so a path that cannot be written prints nothing
         line = ",".join(["%d"] * args.m) + "\n"
         with open(args.out, "w") as out:
@@ -231,11 +231,10 @@ def _cmd_hamiltonian(args) -> int:
         f"hamiltonian-cycle m={args.m} n={args.n} length={len(cycle)} "
         f"anchor={format_vertex(anchor[0])};{format_vertex(anchor[1])}"
     )
-    print(f"verdict valid={'yes' if verdict.valid else 'no'}"
-          + (f" reason={verdict.reason}" if verdict.reason else ""))
+    print("verdict valid=yes" if reason is None else f"verdict valid=no reason={reason}")
     if args.out:
         print(f"wrote cycle path={args.out}")
-    if not verdict.valid:
+    if reason is not None:
         return EXIT_DISCREPANCY if args.strict else EXIT_USAGE
     return EXIT_OK
 
@@ -267,12 +266,12 @@ def _cmd_distance(args) -> int:
     spec = _spec_from_args(args)
     source = parse_vertex(args.source)
     target = parse_vertex(args.target)
-    dist, witness = metrics.csr_distance_witness(spec, source, target, args.mask_limit)
+    dist, blocks = metrics.csr_distance_witness(spec, source, target, args.mask_limit)
     print(
         f"distance family=CSR m={spec.m} n={spec.n} from={format_vertex(source)} "
         f"to={format_vertex(target)} value={dist}"
     )
-    print(f"witness blocks={_format_blocks(witness.blocks)} size={witness.size}")
+    print(f"witness blocks={_format_blocks(blocks)} size={len(blocks)}")
     return EXIT_OK
 
 
@@ -307,19 +306,19 @@ def _cmd_aut(args) -> int:
 def _cmd_reduce(args) -> int:
     with open(args.instance) as infile:
         inst = hardness.read_instance(infile)
-    result = hardness.run_reduction(inst, args.mask_limit)
+    distance, blocks, decoded, solver = hardness.run_reduction(inst, args.mask_limit)
+    agree = decoded == solver
     print(
-        f"reduction k={inst.k} s={inst.s} family=CSR m={result.spec.m} n={result.spec.n} "
-        f"vertex={format_vertex(result.vertex)}"
+        f"reduction k={inst.k} s={inst.s} family=CSR m={3 * inst.k} n={inst.s} "
+        f"vertex={format_vertex(inst.values)}"
     )
-    print(f"distance value={result.distance} target={2 * inst.k}")
-    print(f"witness blocks={_format_blocks(result.witness.blocks)} size={result.witness.size}")
+    print(f"distance value={distance} target={2 * inst.k}")
+    print(f"witness blocks={_format_blocks(blocks)} size={len(blocks)}")
     print(
-        f"answer decoded={'yes' if result.decoded else 'no'} "
-        f"solver={'yes' if result.solver_answer else 'no'} "
-        f"agree={'yes' if result.agree else 'no'}"
+        f"answer decoded={'yes' if decoded else 'no'} "
+        f"solver={'yes' if solver else 'no'} agree={'yes' if agree else 'no'}"
     )
-    return _strict_exit(args, not result.agree)
+    return _strict_exit(args, not agree)
 
 
 def main(argv=None) -> int:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-from .core import GraphSpec, Vertex, csr_spec
-from .metrics import ZeroPartition, csr_distance_witness
+from .core import csr_spec
+from .metrics import csr_distance_witness
 
 
 @dataclass(frozen=True)
@@ -71,29 +71,16 @@ def solve_3partition(inst: ThreePartitionInstance) -> tuple[bool, list[tuple[int
     return False, None
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    instance: ThreePartitionInstance
-    spec: GraphSpec
-    vertex: Vertex
-    distance: int
-    witness: ZeroPartition
-    decoded: bool
-    solver_answer: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.decoded == self.solver_answer
-
-
-def run_reduction(inst: ThreePartitionInstance, mask_cap: int | None = None) -> ReductionResult:
+def run_reduction(
+    inst: ThreePartitionInstance, mask_cap: int | None = None
+) -> tuple[int, tuple[tuple[int, ...], ...], bool, bool]:
     """Encode the values as a vertex of CSR(3k, s), compute its origin
     distance, decode (yes iff the distance is 2k), and cross-check against
-    the exhaustive solver."""
-    spec = csr_spec(3 * inst.k, inst.s)
-    distance, witness = csr_distance_witness(spec, (0,) * spec.m, inst.values, mask_cap)
-    answer, _ = solve_3partition(inst)
-    return ReductionResult(inst, spec, inst.values, distance, witness, distance == 2 * inst.k, answer)
+    the exhaustive solver: `(distance, blocks, decoded, solver_answer)`, with
+    the witness blocks as `zero_partition_number` returns them."""
+    m = 3 * inst.k
+    distance, blocks = csr_distance_witness(csr_spec(m, inst.s), (0,) * m, inst.values, mask_cap)
+    return distance, blocks, distance == 2 * inst.k, solve_3partition(inst)[0]
 
 
 # -- instance file format ----------------------------------------------------------

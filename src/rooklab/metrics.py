@@ -25,35 +25,13 @@ from .errors import CapExceededError
 from .spectral import sr_least_eigenvalue
 
 
-@dataclass(frozen=True)
-class ZeroPartition:
-    """Disjoint index blocks covering all coordinates, each block summing
-    to 0 mod n.  Indices are 0-based."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    n: int
-
-    @property
-    def size(self) -> int:
-        return len(self.blocks)
-
-    def check(self, b: tuple[int, ...]) -> bool:
-        """Re-validate against the vertex b: blocks disjoint, covering,
-        every block sum 0 mod n."""
-        seen: set[int] = set()
-        for block in self.blocks:
-            if any(i in seen for i in block):
-                return False
-            seen.update(block)
-            if sum(b[i] for i in block) % self.n != 0:
-                return False
-        return seen == set(range(len(b)))
-
-
 def zero_partition_number(
     b: tuple[int, ...], n: int, mask_cap: int | None = None
-) -> tuple[int, ZeroPartition]:
-    """Maximum block count over all zero partitionings of b, with a witness.
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Maximum block count over all zero partitionings of b, with a witness:
+    `(count, blocks)`, where blocks is a tuple of disjoint 0-based index
+    tuples covering every coordinate, each summing to 0 mod n, in order of
+    first index.
 
     Each zero coordinate is a block of its own: split off from its block, it
     leaves that block zero-sum and adds one block, and the witness below
@@ -116,7 +94,7 @@ def zero_partition_number(
         blocks.append(tuple(spots[i] for i in range(m) if block >> i & 1))
         rest ^= block
     blocks.sort()  # disjoint ascending blocks: by first index
-    return len(blocks), ZeroPartition(tuple(blocks), n)
+    return len(blocks), tuple(blocks)
 
 
 # candidate blocks tested one by one before the search turns to numpy; about
@@ -156,15 +134,16 @@ def _smallest_block(zero: np.ndarray, dp: np.ndarray, rest: int) -> int:
 
 def csr_distance_witness(
     spec: GraphSpec, u: tuple[int, ...], v: tuple[int, ...], mask_cap: int | None = None
-) -> tuple[int, ZeroPartition]:
-    """Distance in CSR(m, n) plus the zero partitioning of v - u behind it."""
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """`(distance, blocks)` in CSR(m, n): the blocks of the zero partitioning
+    of v - u behind the distance, as `zero_partition_number` returns them."""
     if spec.family != CSR:
         raise ValueError(f"distance formula applies to CSR only, got {spec.label()}")
     u = validate_vertex(spec, u)
     v = validate_vertex(spec, v)
     diff = tuple((x - y) % spec.n for x, y in zip(v, u))
-    count, witness = zero_partition_number(diff, spec.n, mask_cap)
-    return spec.m - count, witness
+    count, blocks = zero_partition_number(diff, spec.n, mask_cap)
+    return spec.m - count, blocks
 
 
 def csr_distance(

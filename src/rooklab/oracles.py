@@ -40,8 +40,6 @@ each row and the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import config
@@ -396,53 +394,45 @@ def all_pairs_distances(spec: GraphSpec) -> tuple[list[Vertex], np.ndarray]:
 # -- cycle checking ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleVerdict:
-    valid: bool
-    reason: str | None = None
-
-
 def verify_cycle(
     spec: GraphSpec,
     cycle: list[tuple[int, ...]] | np.ndarray,
     required_edge: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> CycleVerdict:
+) -> str | None:
     """Check a vertex sequence, a list of tuples or an (N, m) integer array,
-    as a Hamiltonian cycle of spec.
+    as a Hamiltonian cycle of spec: None when it is one, else the reason.
 
     Valid iff: every entry is a vertex, each graph vertex appears exactly
     once, consecutive entries (including the wrap pair) differ in exactly
     two positions, and the required edge (if given) appears as a
     consecutive pair.  Each test runs on the whole array at once; the
-    verdict names the first failing position, as a scan would.
+    reason names the first failing position, as a scan would.
     """
     if len(cycle) < 3:
-        return CycleVerdict(False, f"cycle has {len(cycle)} vertices, needs at least 3")
+        return f"cycle has {len(cycle)} vertices, needs at least 3"
     rows = _cycle_rows(spec, cycle)
-    if isinstance(rows, CycleVerdict):
+    if isinstance(rows, str):
         return rows
     if _has_repeat(rows):
-        return CycleVerdict(False, "duplicate vertex")
+        return "duplicate vertex"
     if len(rows) != spec.vertex_count:
-        return CycleVerdict(
-            False, f"cycle covers {len(rows)} of {spec.vertex_count} vertices"
-        )
+        return f"cycle covers {len(rows)} of {spec.vertex_count} vertices"
     # position i is the step from row i to row i + 1; the last is the wrap
     apart = np.flatnonzero(np.count_nonzero(rows[1:] != rows[:-1], axis=1) != 2)
     if len(apart) or np.count_nonzero(rows[-1] != rows[0]) != 2:
         at = int(apart[0]) if len(apart) else len(rows) - 1
-        return CycleVerdict(False, f"consecutive vertices not adjacent at position {at}")
+        return f"consecutive vertices not adjacent at position {at}"
     if required_edge is not None:
         a, b = (_row_of(rows, v) for v in required_edge)
         if a < 0 or b < 0 or (b - a) % len(rows) not in (1, len(rows) - 1):
-            return CycleVerdict(False, "required edge missing from cycle")
-    return CycleVerdict(True, None)
+            return "required edge missing from cycle"
+    return None
 
 
-def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | CycleVerdict:
+def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | str:
     """The entries as an (N, m) integer array, in the caller's dtype when they
-    already form one, or the verdict naming the first entry that is not a
-    vertex, with `validate_vertex`'s reason.  Entries that do not form an
+    already form one, or the reason naming the first entry that is not a
+    vertex, with `validate_vertex`'s message.  Entries that do not form an
     integer array (ragged, non-integer) are checked one by one."""
     try:
         rows = np.asarray(cycle)
@@ -454,7 +444,7 @@ def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | CycleVerdict:
             try:
                 seq.append(validate_vertex(spec, v))
             except (TypeError, ValueError) as exc:
-                return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
+                return f"invalid vertex at position {pos}: {exc}"
         return np.array(seq, dtype=np.int64)
     n = spec.n
     if spec.family == SR:  # coordinates within 0..n keep the row sums exact
@@ -466,7 +456,7 @@ def _cycle_rows(spec: GraphSpec, cycle) -> np.ndarray | CycleVerdict:
         try:  # the first flagged entry raises with the reason a scan gives
             validate_vertex(spec, cycle[pos])
         except ValueError as exc:
-            return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
+            return f"invalid vertex at position {pos}: {exc}"
     return rows
 
 

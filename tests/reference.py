@@ -1,7 +1,8 @@
 """Tuple-at-a-time vertex enumeration, neighbour lists and edge lists,
 written from the definitions, and the per-move neighbour-index builder: the
 references the array builders, neighbour indices and edge-list writer of
-`rooklab.core` are tested against."""
+`rooklab.core` are tested against.  Also the zero-partition checker that
+`rooklab.metrics` witnesses are tested with."""
 
 from typing import IO, Iterator
 
@@ -113,3 +114,16 @@ def neighbour_index(graph: IndexedGraph, coords: np.ndarray) -> np.ndarray:
     assert (filled == spec.degree).all()
     targets.sort(axis=1)
     return targets
+
+
+def is_zero_partition(blocks, b: tuple[int, ...], n: int) -> bool:
+    """Whether blocks (0-based index tuples) are disjoint, cover every
+    coordinate of b, and each sum to 0 mod n."""
+    seen: set[int] = set()
+    for block in blocks:
+        if any(i in seen for i in block):
+            return False
+        seen.update(block)
+        if sum(b[i] for i in block) % n != 0:
+            return False
+    return seen == set(range(len(b)))

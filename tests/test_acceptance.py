@@ -39,7 +39,7 @@ from rooklab.oracles import (
 from rooklab.spectral import eigenvalues, integer_deviation, sr_least_eigenvalue
 
 from descriptors import edge_array, preserves_adjacency
-from reference import edges
+from reference import edges, is_zero_partition
 
 
 def _gate(num: int, description: str, ok: bool, elapsed: float | None = None) -> None:
@@ -75,8 +75,7 @@ def test_c02_hamiltonian_sweep():
             if (m, n) == (2, 1):
                 continue
             cycle = hamiltonian_cycle_sr(m, n)
-            verdict = verify_cycle(sr_spec(m, n), cycle.tolist(), anchor_edge(m, n))
-            ok &= verdict.valid
+            ok &= verify_cycle(sr_spec(m, n), cycle.tolist(), anchor_edge(m, n)) is None
     elapsed = time.monotonic() - start
     _gate(2, "Hamiltonian cycles pass the checker for 2<=m<=5, 1<=n<=5 minus (2,1)", ok and elapsed < 10, elapsed)
 
@@ -104,8 +103,8 @@ def test_c03_csr_distance_oracle_equivalence():
 
 def test_c04_zero_partition_worked_example():
     vertex = (2, 2, 1, 0, 2, 2)
-    count, witness = zero_partition_number(vertex, 3)
-    ok = count == 3 and witness.size == 3 and witness.check(vertex)
+    count, blocks = zero_partition_number(vertex, 3)
+    ok = count == 3 and len(blocks) == 3 and is_zero_partition(blocks, vertex, 3)
     _gate(4, "zero partitioning number of (2,2,1,0,2,2) mod 3 is 3 with a re-validating witness", ok)
 
 
@@ -194,18 +193,19 @@ def test_c09_reduction_agrees_with_solver():
     attempts = 0
     while attempts < 3000 and (
         len(results) < 20
-        or sum(1 for r in results if r.solver_answer) < 8
-        or sum(1 for r in results if not r.solver_answer) < 8
+        or sum(solver for _, solver in results) < 8
+        or sum(not solver for _, solver in results) < 8
     ):
         attempts += 1
         inst = _random_instance(rng)
         if inst is None:
             continue
-        results.append(run_reduction(inst))
-    yes = sum(1 for r in results if r.solver_answer)
+        _, _, decoded, solver = run_reduction(inst)
+        results.append((decoded, solver))
+    yes = sum(solver for _, solver in results)
     no = len(results) - yes
     ok = len(results) >= 20 and yes >= 8 and no >= 8
-    ok &= all(r.agree for r in results)
+    ok &= all(decoded == solver for decoded, solver in results)
     _gate(9, f"decode(distance) = solver answer on {len(results)} instances ({yes} yes / {no} no)", ok)
 
 

@@ -18,14 +18,17 @@ was built, checked and written as one array; and the `--conjectured`
 SR(3,0) and SR(6,3) before its witness check became one array pass; and
 the `aut -m 3 -n 3` descriptor dump before the descriptors became plain
 tuples; and the `analyze --json` rows with oracles or over the eigensolver
-cap before the report was built from one quantity table.  So
+cap before the report was built from one quantity table.  The `analyze
+--family csr -m 6 -n 3` row was re-recorded under one BLAS thread.  So
 any change in what those commands print or write shows up here.  The
 distance queries are chosen so that several optimal blocks tie, which pins
 the witness tie-break.  Re-record only for an
 intended change of output, by running this file with GOLDEN_PRINT set to 1
 (and pytest's -s) and pasting the printed rows.  The `analyze` lines print
 the dense eigensolver's deviation from integers, so their digests hold for
-the numpy/LAPACK build they were recorded with.
+the numpy/LAPACK build they were recorded with, and for one BLAS thread: the
+repository's `conftest.py` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy loads, as rookbench does for its children.
 """
 
 import hashlib
@@ -166,9 +169,9 @@ GOLDEN = [
     (
         "analyze --family csr -m 6 -n 3 --json report.json",
         0,
-        "0d8d86a39512782ad90233bb69e081ecf60a9b46512c6723bc0fad335573df6b",
+        "b19cb7ea1c2bcdff018a24ff64f07224eceec7b6f50dc1ea5ec9a9336eaa5e27",
         {
-            "report.json": "97bcc30e0005ca903753d915ff25a8a8a39dba6e10e1ff231938fe48122ea140",
+            "report.json": "629bdd62fcd5fe83e5e465dec0658f6e16d096522685a4ec530c8978a0d920fb",
         },
     ),
     (

@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from rooklab.core import csr_spec
 from rooklab.hardness import (
     ThreePartitionInstance,
     read_instance,
@@ -12,6 +13,8 @@ from rooklab.hardness import (
     solve_3partition,
 )
 from rooklab.metrics import csr_distance
+
+from reference import is_zero_partition
 
 
 def write_instance(inst, out):
@@ -33,29 +36,31 @@ def test_instance_validation_examples():
 
 
 def test_encode():
-    result = run_reduction(ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3)))
-    assert (result.spec.family, result.spec.m, result.spec.n) == ("CSR", 6, 10)
-    assert result.vertex == (4, 4, 3, 3, 3, 3)
+    # the vertex (4, 4, 3, 3, 3, 3) of CSR(6, 10): its blocks partition the values mod s
+    distance, blocks, _, _ = run_reduction(ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3)))
+    assert distance == csr_distance(csr_spec(6, 10), (0,) * 6, (4, 4, 3, 3, 3, 3))
+    assert distance == 6 - len(blocks)
+    assert is_zero_partition(blocks, (4, 4, 3, 3, 3, 3), 10)
 
 
 def test_decode_yes_instances():
     inst = ThreePartitionInstance(1, 3, (1, 1, 1))
-    result = run_reduction(inst)
-    assert result.distance == csr_distance(result.spec, (0, 0, 0), (1, 1, 1)) == 2
-    assert result.decoded
+    distance, _, decoded, _ = run_reduction(inst)
+    assert distance == csr_distance(csr_spec(3, 3), (0, 0, 0), (1, 1, 1)) == 2
+    assert decoded
 
     inst = ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3))
-    result = run_reduction(inst)
-    assert result.distance == csr_distance(result.spec, (0,) * 6, inst.values) == 4
-    assert result.decoded
+    distance, _, decoded, _ = run_reduction(inst)
+    assert distance == csr_distance(csr_spec(6, 10), (0,) * 6, inst.values) == 4
+    assert decoded
 
 
 def test_decode_no_instance():
     inst = ThreePartitionInstance(2, 40, (12, 12, 12, 12, 14, 18))
-    result = run_reduction(inst)
-    assert not result.solver_answer
-    assert result.distance > 4 and not result.decoded
-    assert result.agree
+    distance, _, decoded, solver_answer = run_reduction(inst)
+    assert not solver_answer
+    assert distance > 4 and not decoded
+    assert decoded == solver_answer
 
 
 def test_solver_witness_triples():
@@ -76,9 +81,9 @@ def test_blocks_never_smaller_than_three():
         ThreePartitionInstance(2, 40, (12, 12, 12, 12, 14, 18)),
         ThreePartitionInstance(3, 12, (4, 4, 4, 4, 4, 4, 4, 4, 4)),
     ):
-        result = run_reduction(inst)
-        assert result.witness.size <= inst.k
-        assert all(len(block) >= 3 for block in result.witness.blocks)
+        _, blocks, _, _ = run_reduction(inst)
+        assert len(blocks) <= inst.k
+        assert all(len(block) >= 3 for block in blocks)
 
 
 def test_file_round_trip():

@@ -24,6 +24,7 @@ from rooklab.metrics import (
 from rooklab.oracles import oracle_alpha
 
 from bfs import oracle_distances
+from reference import is_zero_partition
 
 
 def brute_zero_partition_number(b, n):
@@ -133,8 +134,7 @@ def test_zero_partition_matches_submask_oracle():
     cases += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(496)]
     for m, n in cases:
         b = _random_csr_vertex(rng, m, n)
-        count, witness = zero_partition_number(b, n)
-        assert (count, witness.blocks) == submask_zero_partition(b, n), (b, n)
+        assert zero_partition_number(b, n) == submask_zero_partition(b, n), (b, n)
 
 
 @pytest.mark.parametrize("scalar_tries", [0, 3, metrics._SCALAR_TRIES])
@@ -145,8 +145,7 @@ def test_zero_partition_witness_matches_walk(scalar_tries, monkeypatch):
     for _ in range(300):
         m, n = rng.randint(1, 13), rng.choice([2, 3, 5, 12, 40, 1000])
         b = _random_csr_vertex(rng, m, n)
-        count, witness = zero_partition_number(b, n)
-        assert (count, witness.blocks) == walk_zero_partition(b, n), (b, n)
+        assert zero_partition_number(b, n) == walk_zero_partition(b, n), (b, n)
 
 
 @pytest.mark.parametrize("m", range(2, 19))
@@ -155,25 +154,24 @@ def test_zero_partition_single_block_matches_walk(m):
     # 2^(m-1) candidates
     n = 1000
     b = (1,) * (m - 1) + (n - m + 1,)
-    count, witness = zero_partition_number(b, n)
-    assert (count, witness.blocks) == walk_zero_partition(b, n) == (1, (tuple(range(m)),))
+    assert zero_partition_number(b, n) == walk_zero_partition(b, n) == (1, (tuple(range(m)),))
 
 
 def test_zero_partition_huge_modulus():
     # past int64 the subset sums are exact Python integers
     n = 10**20
     b = (n - 1, 1, 5, n - 5, 7, n - 3, n - 4)
-    count, witness = zero_partition_number(b, n)
-    assert (count, witness.blocks) == submask_zero_partition(b, n)
-    assert count == 3 and witness.check(b)
+    count, blocks = zero_partition_number(b, n)
+    assert (count, blocks) == submask_zero_partition(b, n)
+    assert count == 3 and is_zero_partition(blocks, b, n)
 
 
 def test_zero_partition_mask_limit_reachable():
     b = (1,) * 20
-    count, witness = zero_partition_number(b, 4)
+    count, blocks = zero_partition_number(b, 4)
     assert count == 5
-    assert witness.check(b)
-    assert witness.blocks[0] == (0, 1, 2, 3)
+    assert is_zero_partition(blocks, b, 4)
+    assert blocks[0] == (0, 1, 2, 3)
 
 
 def test_zero_partition_out_of_memory_is_cap_error(monkeypatch):
@@ -186,25 +184,33 @@ def test_zero_partition_out_of_memory_is_cap_error(monkeypatch):
 
 
 def test_zero_partition_worked_example():
-    count, witness = zero_partition_number((2, 2, 1, 0, 2, 2), 3)
+    count, blocks = zero_partition_number((2, 2, 1, 0, 2, 2), 3)
     assert count == 3
-    assert witness.size == 3
-    assert witness.check((2, 2, 1, 0, 2, 2))
+    assert len(blocks) == 3
+    assert is_zero_partition(blocks, (2, 2, 1, 0, 2, 2), 3)
+
+
+def test_is_zero_partition_rejects_bad_blocks():
+    b = (2, 2, 1, 0, 2, 2)
+    assert is_zero_partition(((0, 1, 4), (2, 5), (3,)), b, 3)
+    assert not is_zero_partition(((0, 1, 4), (2, 5), (3, 5)), b, 3)  # 5 twice
+    assert not is_zero_partition(((0, 1, 4), (2, 5)), b, 3)  # misses 3
+    assert not is_zero_partition(((0, 1), (2, 4, 5), (3,)), b, 3)  # 2 + 2 = 1 mod 3
 
 
 def test_zero_partition_trivial_cases():
     assert zero_partition_number((0,) * 6, 4)[0] == 6
-    count, witness = zero_partition_number((1, 1, 1, 1), 2)
+    count, blocks = zero_partition_number((1, 1, 1, 1), 2)
     assert count == 2 == brute_zero_partition_number((1, 1, 1, 1), 2)
-    assert witness.blocks == ((0, 1), (2, 3))
+    assert blocks == ((0, 1), (2, 3))
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3), (4, 3), (5, 2), (5, 3), (4, 4), (2, 5)])
 def test_zero_partition_matches_brute_force(m, n):
     for v in enumerate_vertices(csr_spec(m, n)):
-        count, witness = zero_partition_number(v, n)
+        count, blocks = zero_partition_number(v, n)
         assert count == brute_zero_partition_number(v, n)
-        assert witness.size == count and witness.check(v)
+        assert len(blocks) == count and is_zero_partition(blocks, v, n)
 
 
 def test_zero_partition_permutation_invariant():
@@ -239,12 +245,12 @@ def test_zero_partition_unit_scaling_invariant():
 def test_zero_partition_mask_limit_counts_nonzero_coordinates():
     # zero coordinates are singleton blocks outside the DP, so only the
     # nonzero ones count against the mask limit
-    count, witness = zero_partition_number((0,) * 30, 2)
-    assert count == 30 and witness.blocks == tuple((i,) for i in range(30))
+    count, blocks = zero_partition_number((0,) * 30, 2)
+    assert count == 30 and blocks == tuple((i,) for i in range(30))
     b = (0, 4, 0, 1, 1, 1, 1, 1, 1, 1, 3) + (0,) * 29
-    count, witness = zero_partition_number(b, 7)
-    assert count == 33 and witness.check(b)
-    assert witness.blocks == ((0,), (1, 3, 4, 5), (2,), (6, 7, 8, 9, 10)) + tuple(
+    count, blocks = zero_partition_number(b, 7)
+    assert count == 33 and is_zero_partition(blocks, b, 7)
+    assert blocks == ((0,), (1, 3, 4, 5), (2,), (6, 7, 8, 9, 10)) + tuple(
         (i,) for i in range(11, 40)
     )
     dist, _ = csr_distance_witness(csr_spec(40, 7), (0,) * 40, b)
@@ -257,8 +263,7 @@ def test_zero_partition_mask_limit_counts_nonzero_coordinates():
         m, n = rng.randint(1, 12), rng.choice([2, 3, 5, 12])
         b = tuple(0 if rng.random() < 0.5 else x for x in _random_csr_vertex(rng, m, n))
         b = b[:-1] + ((-sum(b[:-1])) % n,)
-        count, witness = zero_partition_number(b, n)
-        assert (count, witness.blocks) == walk_zero_partition(b, n), (b, n)
+        assert zero_partition_number(b, n) == walk_zero_partition(b, n), (b, n)
 
 
 def test_zero_partition_validation():
@@ -287,10 +292,10 @@ def test_csr_distance_examples():
 def test_csr_distance_witness_revalidates():
     spec = csr_spec(5, 3)
     u, v = (1, 2, 0, 0, 0), (0, 1, 1, 0, 1)
-    dist, witness = csr_distance_witness(spec, u, v)
+    dist, blocks = csr_distance_witness(spec, u, v)
     diff = tuple((b - a) % 3 for a, b in zip(u, v))
-    assert witness.check(diff)
-    assert dist == 5 - witness.size
+    assert is_zero_partition(blocks, diff, 3)
+    assert dist == 5 - len(blocks)
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])

@@ -21,7 +21,6 @@ from rooklab.core import (
 )
 from rooklab.errors import CapExceededError
 from rooklab.oracles import (
-    CycleVerdict,
     _bit_graph,
     _bits,
     _k_coloring,
@@ -157,21 +156,19 @@ def test_all_pairs_matches_single_source():
 def test_verify_cycle_rejects_bad_input():
     spec = sr_spec(3, 2)
     verts = enumerate_vertices(spec)
-    assert not verify_cycle(spec, verts[:4] + [verts[0], verts[4]]).valid
-    verdict = verify_cycle(spec, [verts[0], verts[1], verts[0], verts[2], verts[3], verts[4]])
-    assert not verdict.valid and "duplicate" in verdict.reason
-    assert not verify_cycle(spec, verts[:3]).valid  # misses vertices
-    short = verify_cycle(spec, verts[:2])
-    assert not short.valid and "at least 3" in short.reason
+    assert verify_cycle(spec, verts[:4] + [verts[0], verts[4]]) is not None
+    reason = verify_cycle(spec, [verts[0], verts[1], verts[0], verts[2], verts[3], verts[4]])
+    assert "duplicate" in reason
+    assert verify_cycle(spec, verts[:3]) is not None  # misses vertices
+    assert "at least 3" in verify_cycle(spec, verts[:2])
 
 
 def test_verify_cycle_requires_edge():
     spec = sr_spec(2, 2)
     cycle = [(2, 0), (1, 1), (0, 2)]
-    assert verify_cycle(spec, cycle, ((2, 0), (1, 1))).valid
-    assert verify_cycle(spec, cycle, ((0, 2), (2, 0))).valid
-    ok = verify_cycle(spec, cycle)
-    assert ok.valid and ok.reason is None
+    assert verify_cycle(spec, cycle, ((2, 0), (1, 1))) is None
+    assert verify_cycle(spec, cycle, ((0, 2), (2, 0))) is None
+    assert verify_cycle(spec, cycle) is None
 
 
 def scan_verify_cycle(spec, cycle, required_edge=None):
@@ -179,29 +176,27 @@ def scan_verify_cycle(spec, cycle, required_edge=None):
     once: one `validate_vertex` and one `adjacent` call per entry, a set of
     entries and a set of consecutive pairs.  Kept as the reference."""
     if len(cycle) < 3:
-        return CycleVerdict(False, f"cycle has {len(cycle)} vertices, needs at least 3")
+        return f"cycle has {len(cycle)} vertices, needs at least 3"
     seq = []
     for pos, v in enumerate(cycle):
         try:
             seq.append(validate_vertex(spec, v))
         except ValueError as exc:
-            return CycleVerdict(False, f"invalid vertex at position {pos}: {exc}")
+            return f"invalid vertex at position {pos}: {exc}"
     if len(set(seq)) != len(seq):
-        return CycleVerdict(False, "duplicate vertex")
+        return "duplicate vertex"
     if len(seq) != spec.vertex_count:
-        return CycleVerdict(
-            False, f"cycle covers {len(seq)} of {spec.vertex_count} vertices"
-        )
+        return f"cycle covers {len(seq)} of {spec.vertex_count} vertices"
     for i, v in enumerate(seq):
         w = seq[(i + 1) % len(seq)]
         if not adjacent(spec, v, w):
-            return CycleVerdict(False, f"consecutive vertices not adjacent at position {i}")
+            return f"consecutive vertices not adjacent at position {i}"
     if required_edge is not None:
         a, b = (tuple(required_edge[0]), tuple(required_edge[1]))
         pairs = {(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))}
         if (a, b) not in pairs and (b, a) not in pairs:
-            return CycleVerdict(False, "required edge missing from cycle")
-    return CycleVerdict(True, None)
+            return "required edge missing from cycle"
+    return None
 
 
 def _dfs_cycle(spec):
@@ -278,27 +273,25 @@ def test_verify_cycle_matches_scan_reference(spec, seed):
         if len({len(u) for u in entries}) == 1:  # not ragged: also as one array
             assert verify_cycle(spec, np.array(entries), edge) == expected, name
         if name.startswith("valid"):
-            assert expected.valid, name
+            assert expected is None, name
         elif "swapped" not in name:  # a swap can leave a Hamiltonian cycle, as in K_6
-            assert not expected.valid, name
+            assert expected is not None, name
 
 
 def test_verify_cycle_names_bad_entries_without_raising():
     spec = sr_spec(3, 2)
     cycle = list(map(tuple, hamiltonian_cycle_sr(3, 2).tolist()))
-    verdict = verify_cycle(spec, cycle[:3] + [(1, 1)] + cycle[4:])
-    assert verdict == CycleVerdict(
-        False, "invalid vertex at position 3: vertex has 2 coordinates, spec SR(3,2) needs 3"
-    )
+    reason = verify_cycle(spec, cycle[:3] + [(1, 1)] + cycle[4:])
+    assert reason == "invalid vertex at position 3: vertex has 2 coordinates, spec SR(3,2) needs 3"
     scalar = verify_cycle(spec, cycle[:2] + [7] + cycle[3:])
-    assert not scalar.valid and scalar.reason.startswith("invalid vertex at position 2: ")
+    assert scalar.startswith("invalid vertex at position 2: ")
 
 
 def test_verify_cycle_rejects_non_integer_coordinates():
     # int() would truncate (2.5, -0.5) to the vertex (2, 0) and pass the cycle
     spec, reason = sr_spec(2, 2), "vertex has a non-integer coordinate: (2.5, -0.5)"
     entries = [(2.5, -0.5), (1, 1), (0, 2)]
-    expected = CycleVerdict(False, f"invalid vertex at position 0: {reason}")
+    expected = f"invalid vertex at position 0: {reason}"
     assert verify_cycle(spec, entries) == expected
     assert verify_cycle(spec, np.array(entries)) == expected
     with pytest.raises(ValueError, match=rf"^{re.escape(reason)}$"):
@@ -308,7 +301,7 @@ def test_verify_cycle_rejects_non_integer_coordinates():
     assert validate_vertex(spec, (np.int64(2), np.int64(0))) == (2, 0)
     assert validate_vertex(spec, np.array([1, 1], dtype=np.int64)) == (1, 1)
     integer_rows = np.array([(2, 0), (1, 1), (0, 2)], dtype=np.int64)
-    assert verify_cycle(spec, list(map(tuple, integer_rows))) == CycleVerdict(True, None)
+    assert verify_cycle(spec, list(map(tuple, integer_rows))) is None
 
 
 # a Hamiltonian path of SR(3,2) whose ends (0,1,1) and (2,0,0) differ in all
@@ -336,18 +329,16 @@ def test_verify_cycle_on_narrow_rows_matches_int64(dtype):
     ]
     for name, spec, narrow, edge, reason in cases:
         assert narrow.dtype == dtype, name
-        verdict = verify_cycle(spec, narrow, edge)
-        assert verdict == CycleVerdict(reason is None, reason), name
-        assert verify_cycle(spec, narrow.astype(np.int64), edge) == verdict, name
+        assert verify_cycle(spec, narrow, edge) == reason, name
+        assert verify_cycle(spec, narrow.astype(np.int64), edge) == reason, name
 
 
 def test_verify_cycle_on_uint16_rows():
     cycle = hamiltonian_cycle_sr(3, 256)  # coordinates up to 256 need uint16
     assert cycle.dtype == np.uint16
     spec, anchor = sr_spec(3, 256), anchor_edge(3, 256)
-    verdict = verify_cycle(spec, cycle, anchor)
-    assert verdict == CycleVerdict(True, None)
-    assert verify_cycle(spec, cycle.astype(np.int64), anchor) == verdict
+    assert verify_cycle(spec, cycle, anchor) is None
+    assert verify_cycle(spec, cycle.astype(np.int64), anchor) is None
 
 
 def test_search_caps():

@@ -323,6 +323,17 @@ def test_cli_hamiltonian_unwritable_out_prints_nothing(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
 
+def test_cli_hamiltonian_invalid_cycle_prints_reason(monkeypatch, capsys):
+    # a cycle whose last row repeats its first: the checker's reason is printed
+    cycle = constructions.hamiltonian_cycle_sr(3, 2).copy()
+    cycle[-1] = cycle[0]
+    monkeypatch.setattr(constructions, "hamiltonian_cycle_sr", lambda m, n, cap=None: cycle)
+    for flags, expected in (((), 1), (("--strict",), 3)):
+        code, out, err = run_cli(capsys, "construct", "hamiltonian-cycle", "-m", "3", "-n", "2", *flags)
+        assert (code, err) == (expected, "")
+        assert out.splitlines()[1] == "verdict valid=no reason=duplicate vertex"
+
+
 @pytest.mark.parametrize("m,n", [(5, 12), (2, 4095), (2, 4096), (8, 10)])
 def test_cli_hamiltonian_blocks_match_one_shot_text(tmp_path, capsys, m, n):
     # 1,820 rows; exactly one block; one row past it, as uint16; 19,448 rows
