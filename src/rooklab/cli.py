@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
 
-from . import automorphisms, config, constructions, hardness, metrics, oracles, report
+# what the millisecond commands (distance, reduce-3partition) run is imported
+# here; report, oracles, automorphisms and json are imported by the handlers
+# that use them, so a process pays to load them only when it runs them
+from . import config, constructions, hardness, metrics
 from .core import GraphSpec, format_vertex, indexed_graph, parse_vertex, write_edge_list
 from .errors import CapExceededError
 
@@ -31,7 +33,7 @@ EXIT_CAP = 2
 EXIT_DISCREPANCY = 3
 
 # `construct hamiltonian-cycle --out` formats this many rows per write, so the
-# Python ints and text of only one block are alive at a time
+# text of only one block is alive at a time
 CYCLE_BLOCK_ROWS = 4096
 
 
@@ -54,8 +56,21 @@ def _format_blocks(blocks) -> str:
     return ",".join("{" + ",".join(str(i + 1) for i in block) + "}" for block in blocks)
 
 
-@functools.cache  # built on the first call to main, not at import
-def _build_parser() -> _Parser:
+# the top-level commands, in the order the full parser lists them
+COMMANDS = ("generate", "analyze", "construct", "distance", "aut", "reduce-3partition")
+
+
+@functools.cache
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser for a command line whose first word is `command`, built
+    once per command.  A parser for one of COMMANDS registers that command
+    alone, so a call pays for its own subparsers only; None builds every
+    command, for the top-level help and for a missing or unknown command.
+    The one-command parser names all of COMMANDS in its subparsers' metavar,
+    because its top-level errors (trailing junk) print the top-level usage
+    line; the full parser leaves the metavar unset, since setting it would
+    also rename 'argument command' in the invalid-choice and missing-command
+    errors."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--enum-cap", type=int, default=None, help="vertex enumeration cap")
     common.add_argument("--eig-cap", type=int, default=None, help="dense eigensolver cap")
@@ -77,53 +92,65 @@ def _build_parser() -> _Parser:
         return p
 
     parser = _Parser(prog="rooklab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = spec_command(sub, "generate", _cmd_generate, help="write the canonical edge list")
-    p.add_argument("--edges-out", default=None, help="output path (default stdout)")
-
-    p = spec_command(sub, "analyze", _cmd_analyze, help="full invariant report")
-    p.add_argument(
-        "--oracle",
-        default="none",
-        help=f"'all', 'none', or comma list from {','.join(report.ORACLE_QUANTITIES)}",
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser, metavar=metavar
     )
-    p.add_argument("--json", default=None, help="also write the report as JSON to this path")
+    wanted = COMMANDS if command is None else (command,)
 
-    build = sub.add_parser("construct", help="run one construction with verification")
-    what = build.add_subparsers(dest="what", required=True, parser_class=_Parser)
+    if "generate" in wanted:
+        p = spec_command(sub, "generate", _cmd_generate, help="write the canonical edge list")
+        p.add_argument("--edges-out", default=None, help="output path (default stdout)")
 
-    p = spec_command(what, "independent-set", _cmd_independent_set)
-    p.add_argument("--prime", type=int, default=None)
+    if "analyze" in wanted:
+        from .report import ORACLE_QUANTITIES
 
-    p = spec_command(what, "dominating-set", _cmd_dominating_set, ["sr"], "sr")
-    p.add_argument("--conjectured", action="store_true", help="the diagonal m=3 candidate set")
-    p.add_argument("--oracle", action="store_true", help="compare against exact gamma")
+        p = spec_command(sub, "analyze", _cmd_analyze, help="full invariant report")
+        p.add_argument(
+            "--oracle",
+            default="none",
+            help=f"'all', 'none', or comma list from {','.join(ORACLE_QUANTITIES)}",
+        )
+        p.add_argument("--json", default=None, help="also write the report as JSON to this path")
 
-    p = spec_command(what, "hamiltonian-cycle", _cmd_hamiltonian, ["sr"], "sr")
-    p.add_argument("--out", default=None, help="write the cycle, one vertex per line")
+    if "construct" in wanted:
+        build = sub.add_parser("construct", help="run one construction with verification")
+        what = build.add_subparsers(dest="what", required=True, parser_class=_Parser)
 
-    spec_command(what, "clique", _cmd_clique, ["csr"], "csr")
+        p = spec_command(what, "independent-set", _cmd_independent_set)
+        p.add_argument("--prime", type=int, default=None)
 
-    p = spec_command(what, "coloring", _cmd_coloring)
-    p.add_argument("--prime", type=int, default=None)
+        p = spec_command(what, "dominating-set", _cmd_dominating_set, ["sr"], "sr")
+        p.add_argument("--conjectured", action="store_true", help="the diagonal m=3 candidate set")
+        p.add_argument("--oracle", action="store_true", help="compare against exact gamma")
 
-    p = spec_command(
-        sub, "distance", _cmd_distance, ["csr"], "csr", help="CSR distance with witness"
-    )
-    p.add_argument("--from", dest="source", required=True, help="vertex as comma list")
-    p.add_argument("--to", dest="target", required=True, help="vertex as comma list")
+        p = spec_command(what, "hamiltonian-cycle", _cmd_hamiltonian, ["sr"], "sr")
+        p.add_argument("--out", default=None, help="write the cycle, one vertex per line")
 
-    p = sub.add_parser("aut", parents=[common], help="CSR automorphism group")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true", help="skip the descriptor dump")
-    p.add_argument("--oracle", action="store_true", help="independent backtracking count")
-    p.set_defaults(func=_cmd_aut)
+        spec_command(what, "clique", _cmd_clique, ["csr"], "csr")
 
-    p = sub.add_parser("reduce-3partition", parents=[common], help="3-Partition via distance")
-    p.add_argument("--instance", required=True, help="instance file: 'k s' then 3k values")
-    p.set_defaults(func=_cmd_reduce)
+        p = spec_command(what, "coloring", _cmd_coloring)
+        p.add_argument("--prime", type=int, default=None)
+
+    if "distance" in wanted:
+        p = spec_command(
+            sub, "distance", _cmd_distance, ["csr"], "csr", help="CSR distance with witness"
+        )
+        p.add_argument("--from", dest="source", required=True, help="vertex as comma list")
+        p.add_argument("--to", dest="target", required=True, help="vertex as comma list")
+
+    if "aut" in wanted:
+        p = sub.add_parser("aut", parents=[common], help="CSR automorphism group")
+        p.add_argument("-m", type=int, required=True)
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("--count-only", action="store_true", help="skip the descriptor dump")
+        p.add_argument("--oracle", action="store_true", help="independent backtracking count")
+        p.set_defaults(func=_cmd_aut)
+
+    if "reduce-3partition" in wanted:
+        p = sub.add_parser("reduce-3partition", parents=[common], help="3-Partition via distance")
+        p.add_argument("--instance", required=True, help="instance file: 'k s' then 3k values")
+        p.set_defaults(func=_cmd_reduce)
 
     return parser
 
@@ -140,6 +167,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import report
+
     spec = _spec_from_args(args)
     names = report.parse_oracle_selection(args.oracle)
     result = report.build_report(
@@ -151,6 +180,8 @@ def _cmd_analyze(args) -> int:
         tolerance=args.tol,
     )
     if args.json:  # before any output, so a path that cannot be written prints nothing
+        import json
+
         with open(args.json, "w") as out:
             json.dump(result.to_json(), out, indent=2, sort_keys=True)
             out.write("\n")
@@ -178,6 +209,16 @@ def _cmd_independent_set(args) -> int:
     return _strict_exit(args, failures)
 
 
+def _exact_gamma(args) -> int | None:
+    """The exact domination number from the oracle under --oracle, else None;
+    run before any output, so a search over its cap prints nothing."""
+    if not args.oracle:
+        return None
+    from . import oracles
+
+    return oracles.oracle_gamma(_spec_from_args(args))[0]
+
+
 def _cmd_dominating_set(args) -> int:
     if args.conjectured:
         if args.m != 3:
@@ -185,8 +226,7 @@ def _cmd_dominating_set(args) -> int:
         candidates, dominates = constructions.conjectured_dominating_set_sr3(
             args.n, cap=args.enum_cap
         )
-        # exact gamma before any output, so a search over its cap prints nothing
-        gamma = oracles.oracle_gamma(_spec_from_args(args))[0] if args.oracle else None
+        gamma = _exact_gamma(args)
         mismatch = gamma is not None and gamma != len(candidates)
         print(f"conjectured-dominating-set m=3 n={args.n} size={len(candidates)}")
         for v in candidates:
@@ -198,7 +238,7 @@ def _cmd_dominating_set(args) -> int:
 
     size = len(constructions.dominating_set_sr(args.m, args.n, cap=args.enum_cap))
     spec = _spec_from_args(args)
-    gamma = oracles.oracle_gamma(spec)[0] if args.oracle else None  # before any output
+    gamma = _exact_gamma(args)
     # the witness map doubles as the verification scan: each vertex's witness
     # must be a vertex of SR(m, n) in D, equal to it or differing in two places
     coords = indexed_graph(spec, args.enum_cap).coords
@@ -217,16 +257,40 @@ def _cmd_dominating_set(args) -> int:
     return _strict_exit(args, bad)
 
 
+def _write_rows(out, rows: np.ndarray, top: int) -> None:
+    """Write rows of integers in 0..top as comma-separated decimal lines, one
+    block of CYCLE_BLOCK_ROWS rows per write.  Row v of a digit table holds
+    the digits of v, right-aligned after NUL padding; a block is one uint8
+    buffer of every cell's digits and separator, written with the NULs dropped."""
+    width = len(str(top))
+    digits = np.zeros((top + 1, width), np.uint8)
+    for column in range(width):
+        power = 10 ** (width - 1 - column)
+        first = power if column < width - 1 else 0  # values below power have no digit here
+        values = np.arange(first, top + 1, dtype=rows.dtype)  # in place: one temporary
+        values //= power
+        values %= 10
+        values += ord("0")
+        digits[first:, column] = values
+    cells = np.empty((CYCLE_BLOCK_ROWS, rows.shape[1], width + 1), np.uint8)
+    cells[:, :, width] = ord(",")
+    cells[:, -1, width] = ord("\n")
+    for start in range(0, len(rows), CYCLE_BLOCK_ROWS):
+        block = rows[start : start + CYCLE_BLOCK_ROWS]
+        text = cells[: len(block)]
+        text[:, :, :width] = np.take(digits, block, axis=0)  # about 10x faster than digits[block]
+        out.write(text[text != 0].tobytes().decode())
+
+
 def _cmd_hamiltonian(args) -> int:
+    from . import oracles
+
     cycle = constructions.hamiltonian_cycle_sr(args.m, args.n, cap=args.enum_cap)
     anchor = constructions.anchor_edge(args.m, args.n)
     reason = oracles.verify_cycle(_spec_from_args(args), cycle, anchor)
     if args.out:  # before any output, so a path that cannot be written prints nothing
-        line = ",".join(["%d"] * args.m) + "\n"
         with open(args.out, "w") as out:
-            for start in range(0, len(cycle), CYCLE_BLOCK_ROWS):
-                block = cycle[start : start + CYCLE_BLOCK_ROWS]
-                out.write(line * len(block) % tuple(block.ravel().tolist()))
+            _write_rows(out, cycle, args.n)
     print(
         f"hamiltonian-cycle m={args.m} n={args.n} length={len(cycle)} "
         f"anchor={format_vertex(anchor[0])};{format_vertex(anchor[1])}"
@@ -276,6 +340,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_aut(args) -> int:
+    from . import automorphisms
+
     m, n = args.m, args.n
     order = automorphisms.group_order_formula(m, n)
     outside = automorphisms.outside_hypothesis(m, n)
@@ -322,8 +388,9 @@ def _cmd_reduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     flags = (
         (config.enum_cap, args.enum_cap),
         (config.eig_cap, args.eig_cap),

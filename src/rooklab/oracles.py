@@ -353,13 +353,17 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
     return None
 
 
-def oracle_chi(spec: GraphSpec) -> tuple[int, dict[Vertex, int]]:
+def oracle_chi(spec: GraphSpec, alpha: int | None = None) -> tuple[int, dict[Vertex, int]]:
     """Exact chromatic number with the coloring the search finds at it: k
-    counts up from the size of a maximum clique, which needs that many
-    colors, to the first k with a coloring, which exists by k = N."""
+    counts up from max(omega, ceil(N / alpha)), since a maximum clique needs
+    omega colors and each color class is independent, to the first k with a
+    coloring, which exists by k = N.  `alpha` is the exact independence
+    number when the caller has it; without it `oracle_alpha` runs."""
     verts, adj = _bit_graph(spec)
     clique = _max_clique_bits(adj, len(verts))
-    k = len(clique)
+    if alpha is None:
+        alpha = oracle_alpha(spec)[0]
+    k = max(len(clique), -(-len(verts) // alpha))
     while (colors := _k_coloring(adj, k, clique)) is None:
         k += 1
     return k, dict(zip(verts, colors))

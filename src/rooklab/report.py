@@ -190,7 +190,10 @@ def build_report(
 ) -> AnalysisReport:
     """Full analysis of one graph: one record per row of QUANTITIES, then the
     coloring and spectral checks, with oracles run for the named quantities."""
-    from . import oracles, spectral
+    from . import spectral
+
+    if oracle_names:
+        from . import oracles
 
     # one residue partition: its classes bound alpha, its colouring chi; its
     # scan also holds the graph to the enumeration cap
@@ -216,11 +219,12 @@ def build_report(
     if residues.proper:
         built["chi"] = residues.p, "residue coloring (scan passed)"
 
+    found: dict[str, int] = {}  # oracle values so far; chi starts from alpha's
     search = {
         "alpha": lambda: oracles.oracle_alpha(spec)[0],
         "gamma": lambda: oracles.oracle_gamma(spec)[0],
         "omega": lambda: oracles.oracle_omega(spec)[0],
-        "chi": lambda: oracles.oracle_chi(spec)[0],
+        "chi": lambda: oracles.oracle_chi(spec, found.get("alpha"))[0],
         "diameter": lambda: int(oracles.all_pairs_distances(spec)[1].max()),
     }
     for name, kind in QUANTITIES:
@@ -234,7 +238,7 @@ def build_report(
             if wdist != record.exact:
                 record.problems = (f"witness distance {wdist} != formula {record.exact}",)
         if name in oracle_names:
-            record.oracle = search[name]()
+            record.oracle = found[name] = search[name]()
         record.evaluate()
         report.records.append(record)
 

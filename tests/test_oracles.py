@@ -463,17 +463,23 @@ def test_k_coloring_matches_scan_on_random_graphs(seed):
 def test_chi_csr_3_10_above_prime_bound():
     # chi >= ceil(N / alpha) because each colour class is independent, and a
     # proper colouring with that many colours exists, so chi(CSR(3,10)) = 12,
-    # above the table's p = 11.  `oracle_chi` counts up from omega = 10 and
-    # did not finish in 120 s on a 2-vCPU host; this route takes 0.13 s.
+    # above the table's p = 11.  Counting k up from omega = 10 instead did
+    # not finish in 120 s on a 2-vCPU host; from ceil(N / alpha) it takes 0.13 s.
     spec = csr_spec(3, 10)
     alpha = oracle_alpha(spec)[0]
-    verts, adj = _bit_graph(spec)
-    k = -(-len(verts) // alpha)
-    assert (alpha, k) == (9, 12)
-    colors = np.array(_k_coloring(adj, k, _max_clique_bits(adj, len(verts))))
+    assert (alpha, -(-spec.vertex_count // alpha)) == (9, 12)
+    count, coloring = oracle_chi(spec, alpha)
+    colors = np.array([coloring[v] for v in enumerate_vertices(spec)])
     u, v = indexed_graph(spec).edge_index()
     assert (colors[u] != colors[v]).all()
-    assert colors.max() + 1 == k > default_prime(spec) == 11
+    assert colors.max() + 1 == count == 12 > default_prime(spec) == 11
+
+
+@pytest.mark.parametrize("spec", CERTIFY_CHI, ids=[s.label() for s in CERTIFY_CHI])
+def test_chi_from_given_alpha_matches_searched_alpha(spec):
+    # the alpha build_report passes in and the one oracle_chi searches for
+    # itself start k at the same place, so value and colouring agree
+    assert oracle_chi(spec, oracle_alpha(spec)[0]) == oracle_chi(spec)
 
 
 def cycle_graph(nv):

@@ -237,8 +237,10 @@ def test_cli_analyze_strict_discrepancy_exit(capsys):
         (4, 3, 7, 5),
         (4, 4, 7, 5),
         (5, 2, 8, 5),
+        (5, 3, 8, 5),
         (6, 2, 8, 7),
         (7, 2, 8, 7),
+        (3, 10, 12, 11),
     ],
 )
 def test_cli_analyze_reports_chi_above_prime_bound(m, n, chi, p, capsys):
@@ -334,9 +336,10 @@ def test_cli_hamiltonian_invalid_cycle_prints_reason(monkeypatch, capsys):
         assert out.splitlines()[1] == "verdict valid=no reason=duplicate vertex"
 
 
-@pytest.mark.parametrize("m,n", [(5, 12), (2, 4095), (2, 4096), (8, 10)])
+@pytest.mark.parametrize("m,n", [(5, 12), (2, 4095), (2, 4096), (8, 10), (3, 200)])
 def test_cli_hamiltonian_blocks_match_one_shot_text(tmp_path, capsys, m, n):
-    # 1,820 rows; exactly one block; one row past it, as uint16; 19,448 rows
+    # 1,820 rows; exactly one block; one row past it, as uint16; 19,448 rows;
+    # three-digit values in uint8
     assert cli.CYCLE_BLOCK_ROWS == 4096
     path = tmp_path / "cycle.txt"
     code, out, _ = run_cli(
@@ -817,7 +820,11 @@ def _first_call_in_fresh_process(argv):
 
 
 def test_cli_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
-    assert cli._build_parser() is cli._build_parser()
+    # one cached parser per first word: each command's own, and the full one
+    for command in (None, *cli.COMMANDS):
+        assert cli._build_parser(command) is cli._build_parser(command)
+    assert list(cli._build_parser("distance")._actions[-1].choices) == ["distance"]
+    assert list(cli._build_parser()._actions[-1].choices) == list(cli.COMMANDS)
     instance = tmp_path / "inst.txt"
     instance.write_text("2 10\n4 4 3 3 3 3\n")
     monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the terminal width
@@ -830,6 +837,8 @@ def test_cli_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
         (distance, 2, "3"),  # a variable set between calls is read by this call
         (f"reduce-3partition --instance {instance}", 0, None),
         (distance, 0, None),
+        ("bogus", 1, None),
+        (distance + " extra", 1, None),
         ("distance --help", 0, None),
     ]
     for text, expected_code, mask_limit in steps:
@@ -845,3 +854,94 @@ def test_cli_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert code == expected_code, text
         assert (code, captured.out, captured.err) == _first_call_in_fresh_process(argv), text
+
+
+# Every usage error and help text of the one-command parser main builds for
+# its first word, against the full parser: per command -h, a bad --family
+# (aut and reduce-3partition have none, so it is trailing junk there), a
+# missing required flag and trailing junk, which prints the top-level usage.
+PARSER_CASES = [
+    "generate -h",
+    "generate --family xyz -m 2 -n 2",
+    "generate --family sr -n 2",
+    "generate --family sr -m 3 -n 2 extra",
+    "analyze -h",
+    "analyze --family xyz -m 2 -n 2",
+    "analyze --family sr -m 3",
+    "analyze --family sr -m 3 -n 2 extra",
+    "construct -h",
+    "construct coloring --family xyz -m 2 -n 2",
+    "construct clique -m 3",
+    "construct clique -m 3 -n 2 extra",
+    "distance -h",
+    "distance --family xyz -m 3 -n 2 --from 0,0,0 --to 0,0,0",
+    "distance -m 3 -n 2 --from 0,0,0",
+    "distance -m 3 -n 2 --from 0,0,0 --to 0,0,0 extra",
+    "aut -h",
+    "aut --family csr -m 3 -n 2",
+    "aut -m 3",
+    "aut -m 3 -n 2 extra",
+    "reduce-3partition -h",
+    "reduce-3partition --family csr --instance x",
+    "reduce-3partition",
+    "reduce-3partition --instance x extra",
+    "",
+    "bogus",
+    "construct",
+    "construct hamiltonian-cycle -h",
+]
+
+
+@pytest.mark.parametrize("text", PARSER_CASES)
+def test_cli_one_command_parser_matches_full_parser(text, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the terminal width
+    argv = text.split()
+    outcomes = []
+    for parse in (main, cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if "-h" in argv else 1)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "the following arguments are required: command"),
+        ("bogus", "argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_cli_top_level_errors_name_the_command_argument(text, message, capsys):
+    # the full parser keeps the subparsers' metavar unset, so these errors
+    # name the argument 'command'
+    with pytest.raises(SystemExit) as exc:
+        main(text.split())
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.splitlines()[-1].startswith(f"rooklab: error: {message}")
+
+
+def test_cli_import_leaves_search_and_report_modules_unloaded():
+    # a fresh interpreter: importing the CLI loads what distance and
+    # reduce-3partition run, and the commands that need more load it
+    script = """
+import sys
+import rooklab.cli
+lazy = ("rooklab.report", "rooklab.oracles", "rooklab.automorphisms", "json")
+print(" ".join(name for name in lazy if name in sys.modules) or "none")
+main = rooklab.cli.main
+print(main("analyze --family csr -m 3 -n 2 --oracle all".split()))
+print(main("aut -m 3 -n 2 --count-only --oracle".split()))
+"""
+    src = os.path.dirname(os.path.dirname(rooklab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "none"
+    end = lines.index("summary discrepancy=yes")  # chi(CSR(3,2)) = 4 above p = 3
+    assert lines[end + 1] == "0"
+    assert lines[-2:] == ["oracle count=24 matches-formula=yes", "0"]
