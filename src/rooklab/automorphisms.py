@@ -32,7 +32,6 @@ from typing import Iterator
 
 from . import config
 from .core import GraphSpec, csr_spec
-from .oracles import _bit_graph, _bits
 
 
 def _units(n: int) -> list[int]:
@@ -77,6 +76,9 @@ def oracle_aut_count(spec: GraphSpec) -> int:
     common-neighbor counts (degrees alone cannot tell vertices of these
     vertex-transitive graphs apart).
     """
+    # here, not at module level: the descriptor walk alone loads no search
+    from .oracles import _bit_graph, _bits
+
     verts, adj = _bit_graph(spec, config.AUT_CAP, "automorphism search")
     nv = len(verts)
 

@@ -219,13 +219,18 @@ def build_report(
     if residues.proper:
         built["chi"] = residues.p, "residue coloring (scan passed)"
 
-    found: dict[str, int] = {}  # oracle values so far; chi starts from alpha's
+    # each oracle's (value, witness) so far; chi starts from alpha's value
+    # and pre-colors omega's clique
+    found: dict[str, tuple] = {}
+    unfound = (None, None)
     search = {
-        "alpha": lambda: oracles.oracle_alpha(spec)[0],
-        "gamma": lambda: oracles.oracle_gamma(spec)[0],
-        "omega": lambda: oracles.oracle_omega(spec)[0],
-        "chi": lambda: oracles.oracle_chi(spec, found.get("alpha"))[0],
-        "diameter": lambda: int(oracles.all_pairs_distances(spec)[1].max()),
+        "alpha": lambda: oracles.oracle_alpha(spec),
+        "gamma": lambda: oracles.oracle_gamma(spec),
+        "omega": lambda: oracles.oracle_omega(spec),
+        "chi": lambda: oracles.oracle_chi(
+            spec, found.get("alpha", unfound)[0], found.get("omega", unfound)[1]
+        ),
+        "diameter": lambda: (int(oracles.all_pairs_distances(spec)[1].max()), None),
     }
     for name, kind in QUANTITIES:
         sides = {side: bound.get((name, side)) for side in ("lower", "upper", "exact")}
@@ -238,7 +243,8 @@ def build_report(
             if wdist != record.exact:
                 record.problems = (f"witness distance {wdist} != formula {record.exact}",)
         if name in oracle_names:
-            record.oracle = found[name] = search[name]()
+            found[name] = search[name]()
+            record.oracle = found[name][0]
         record.evaluate()
         report.records.append(record)
 

@@ -2,14 +2,18 @@
 
 import heapq
 import itertools
+import os
 import random
 import re
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from rooklab import oracles
+from rooklab import oracles, parallel
+from rooklab.cli import main
 from rooklab.constructions import anchor_edge, default_prime, hamiltonian_cycle_sr
 from rooklab.core import (
     adjacent,
@@ -482,6 +486,21 @@ def test_chi_from_given_alpha_matches_searched_alpha(spec):
     assert oracle_chi(spec, oracle_alpha(spec)[0]) == oracle_chi(spec)
 
 
+@pytest.mark.parametrize("spec", CERTIFY_CHI, ids=[s.label() for s in CERTIFY_CHI])
+def test_chi_from_given_clique_matches_searched_clique(spec):
+    # omega's witness is the clique oracle_chi would search for and pre-color
+    assert oracle_chi(spec, None, oracle_omega(spec)[1]) == oracle_chi(spec)
+
+
+def test_analyze_searches_one_clique_per_graph(monkeypatch, capsys):
+    # alpha's clique in the complement and omega's, which chi reuses
+    calls = count_calls(monkeypatch, oracles, "_max_clique_bits")
+    assert main("analyze --family csr -m 4 -n 4 --oracle all".split()) == 0
+    row = "quantity name=chi kind=min constructed=- lower=4 upper=5 exact=- oracle=7"
+    assert row in capsys.readouterr().out
+    assert calls == [2]
+
+
 def cycle_graph(nv):
     return [1 << (u - 1) % nv | 1 << (u + 1) % nv for u in range(nv)]
 
@@ -543,6 +562,223 @@ def test_k_coloring_matches_scan_on_larger_random_graphs(seed):
         if got is not None:
             break
     assert all(got[u] != got[w] for u in range(nv) for w in _bits(adj[u]))
+
+
+# -- the split search -----------------------------------------------------------
+
+
+@pytest.fixture
+def split(monkeypatch):
+    # every search splits at its root, across two processes on any host
+    monkeypatch.setattr(oracles, "_SPLIT_NODES", 0)
+    monkeypatch.setattr(oracles, "_workers", lambda: 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to the parent, in order."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("spec", CERTIFY_CHI, ids=[s.label() for s in CERTIFY_CHI])
+def test_split_k_coloring_matches_scan_reference(spec, split):
+    test_k_coloring_matches_scan_reference(spec)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_k_coloring_matches_scan_on_random_graphs(seed, split):
+    test_k_coloring_matches_scan_on_random_graphs(seed)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_k_coloring_matches_scan_on_larger_random_graphs(seed, split):
+    test_k_coloring_matches_scan_on_larger_random_graphs(seed)
+
+
+def test_split_chi_csr_3_10_row_matches_one_process(monkeypatch, capsys):
+    # more than 255 subtrees, so their indices need more than one byte
+    argv = "analyze --family csr -m 3 -n 10 --oracle chi".split()
+    monkeypatch.setattr(oracles, "_workers", lambda: 1)
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    assert "problem quantity=chi detail=oracle 12 above upper bound 11" in whole.splitlines()
+    counts = []
+    real = parallel.first_success
+
+    def spy(count, *args):
+        counts.append(count)
+        return real(count, *args)
+
+    monkeypatch.setattr(parallel, "first_success", spy)
+    monkeypatch.setattr(oracles, "_SPLIT_NODES", 0)
+    monkeypatch.setattr(oracles, "_workers", lambda: 2)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert max(counts) > 255
+
+
+def sr45_k6():
+    verts, adj = _bit_graph(sr_spec(4, 5))
+    return adj, 6, _max_clique_bits(adj, len(verts))
+
+
+@pytest.mark.parametrize(
+    "die, status",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+        (lambda: os._exit(0), 0),  # a clean exit with no reply
+    ],
+    ids=["killed", "no-reply"],
+)
+def test_split_failed_worker_raises(die, status, split, monkeypatch):
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            die()
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    message = rf"^search worker \d+ ended with status {status} and a 0-byte reply$"
+    with pytest.raises(RuntimeError, match=message):
+        _k_coloring(*sr45_k6())
+    assert_no_child_left()
+
+
+def test_split_oracle_chi_leaves_no_child(forks, monkeypatch):
+    monkeypatch.setattr(oracles, "_workers", lambda: 2)
+    assert oracle_chi(csr_spec(4, 4))[0] == 7
+    assert forks  # the k = 6 refutation was split
+    assert_no_child_left()
+
+
+def test_workers_count_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert oracles._workers() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert oracles._workers() == oracles._MAX_WORKERS
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert oracles._workers() == 5
+    monkeypatch.delattr(os, "fork")
+    assert oracles._workers() == 1
+
+
+def test_one_worker_never_forks(forks, monkeypatch):
+    monkeypatch.setattr(oracles, "_SPLIT_NODES", 0)
+    monkeypatch.setattr(oracles, "_workers", lambda: 1)
+    calls = count_calls(monkeypatch, parallel, "first_success")
+    adj, k, clique = sr45_k6()
+    assert _k_coloring(adj, k, clique) is None
+    assert _k_coloring(adj, k + 1, clique) == scan_k_coloring(adj, len(adj), k + 1, clique)
+    assert forks == [] and calls == [0]
+
+
+def test_split_without_fork_searches_in_the_parent(split, monkeypatch):
+    tries = []
+
+    def fork():
+        tries.append(1)
+        raise OSError("fork unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    adj, k, clique = sr45_k6()
+    assert _k_coloring(adj, k, clique) is None
+    assert _k_coloring(adj, k + 1, clique) == scan_k_coloring(adj, len(adj), k + 1, clique)
+    assert len(tries) == 2
+
+
+def test_split_subtree_search_checks_for_a_lower_success(split, monkeypatch):
+    # every _CHECK_NODES nodes; run in one process, so the calls are seen here
+    checks = []
+    real = parallel.first_success
+
+    def in_process(count, search, size, workers):
+        def counted(i, check):
+            def counting_check():
+                checks.append(i)
+                check()
+
+            return search(i, counting_check)
+
+        return real(count, counted, size, 1)
+
+    monkeypatch.setattr(parallel, "first_success", in_process)
+    adj, k, clique = sr45_k6()
+    assert _k_coloring(adj, k, clique) is None
+    assert len(checks) > 9547 // (2 * oracles._CHECK_NODES)
+    assert checks == sorted(checks)
+
+
+def test_split_past_the_subtree_cap_searches_in_one_process(split, forks, monkeypatch):
+    monkeypatch.setattr(oracles, "_MAX_SUBTREES", 2)
+    adj, k, clique = sr45_k6()
+    assert _k_coloring(adj, k, clique) is None
+    assert _k_coloring(adj, k + 1, clique) == scan_k_coloring(adj, len(adj), k + 1, clique)
+    assert forks == []
+
+
+def test_first_success_is_the_lowest_index_whichever_finishes_first():
+    # index 3 succeeds last in time; the lowest success wins all the same
+    def search(i, check):
+        if i == 3:
+            time.sleep(0.05)
+        return [i, -i] if i in (3, 5, 9) else None
+
+    assert parallel.first_success(12, search, 2, 2) == (3, [3, -3])
+    assert parallel.first_success(12, lambda i, check: None, 2, 2) is None
+    assert parallel.first_success(0, search, 2, 2) is None
+    assert_no_child_left()
+
+
+def test_first_success_ends_searches_above_a_success():
+    # index 1 would run for a minute, index 0 succeeds at once; whichever
+    # process takes 1 stops at its next check
+    def search(i, check):
+        if i == 0:
+            time.sleep(0.05)  # so the other process has taken index 1
+            return [0]
+        for _ in range(600):
+            check()
+            time.sleep(0.1)
+        return None
+
+    start = time.monotonic()
+    assert parallel.first_success(2, search, 1, 2) == (0, [0])
+    assert time.monotonic() - start < 20
+    assert_no_child_left()
+
+
+def test_first_success_reaps_workers_on_interrupt(forks):
+    parent = os.getpid()
+
+    def search(i, check):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        parallel.first_success(4, search, 1, 2)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def scan_cover_search(unc: int, budget: int, available: int, closed: list[int], nv: int):

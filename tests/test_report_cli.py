@@ -945,3 +945,21 @@ print(main("aut -m 3 -n 2 --count-only --oracle".split()))
     end = lines.index("summary discrepancy=yes")  # chi(CSR(3,2)) = 4 above p = 3
     assert lines[end + 1] == "0"
     assert lines[-2:] == ["oracle count=24 matches-formula=yes", "0"]
+
+
+def test_cli_aut_without_oracle_leaves_search_modules_unloaded():
+    # a fresh interpreter: the descriptor walk alone needs no search module
+    script = """
+import sys
+from rooklab.cli import main
+code = main(["aut", "-m", "3", "-n", "2", "--count-only"])
+loaded = [name for name in ("rooklab.oracles", "rooklab.parallel") if name in sys.modules]
+print(code, " ".join(loaded) or "none")
+"""
+    src = os.path.dirname(os.path.dirname(rooklab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 none"
