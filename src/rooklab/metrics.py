@@ -45,9 +45,22 @@ def zero_partition_number(
 
     the most zero-sum prefixes over all orderings of S.  For zero-sum S the
     segments between consecutive zero-sum prefixes are zero-sum blocks, so
-    dp[S] is the best block count of S.  Subset sums are built by doubling
-    and dp is filled one popcount layer at a time with numpy: O(2^m * m)
-    time, O(2^m) memory.
+    dp[S] is the best block count of S.  dp is monotone under inclusion: an
+    ordering of T followed by the rest of S keeps T's zero-sum prefixes.  So
+    each A_r = {S : dp[S] >= r} is up-closed, A_0 holds every subset, and
+
+        A_{r+1} = up-closure(Z & {S : S - {i} in A_r for some i in S})
+
+    with Z the nonempty zero-sum sets: a set in A_{r+1} either is such a
+    zero-sum set or loses an element and stays in A_{r+1}.  Every block of
+    nonzero coordinates holds at least two of them, so A_{floor(m/2)+1} is
+    empty and the DP runs at most floor(m/2) + 1 rounds (`_partition_tables`).
+    A family is one Python int with bit S set for each member S.  Round r
+    closes its seeds upward one index at a time, m shift/AND/OR steps on
+    2^m-bit ints; the same shifts give the sets strictly above a seed, and
+    their zero-sum members seed round r + 1.  Each nonempty A_r is added
+    into a uint8 dp table.  With the subset sums built by doubling that is
+    O(2^m * m) time, O(2^m) memory.
 
     Witness: from R = all indices, repeatedly remove the block with the
     numerically smallest mask that holds R's lowest index, sums to 0 mod n
@@ -66,26 +79,7 @@ def zero_partition_number(
     if m > limit:
         raise CapExceededError(f"{m} nonzero coordinates mod {n}, over the subset-mask limit {limit}")
 
-    # the smallest dtype holding 2(n - 1); past uint64 it is exact Python ints
-    sums = allocate(np.zeros, 1 << m, np.min_scalar_type(2 * n), "subset-sum")
-    for i, spot in enumerate(spots):
-        sums[1 << i : 2 << i] = (sums[: 1 << i] + b[spot]) % n
-    zero = (sums == 0).view(np.uint8)
-    del sums
-    popcount = np.zeros(1 << m, dtype=np.uint8)
-    for i in range(m):
-        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-
-    # dp[S] <= m fits uint8 (2^m entries rule out m > 255).  For S in layer k,
-    # S ^ (1 << i) with bit i clear in S lies in layer k + 1, still 0, so it
-    # never wins the max.
-    dp = np.zeros(1 << m, dtype=np.uint8)
-    for k in range(1, m + 1):
-        layer = np.flatnonzero(popcount == k)
-        best = dp[layer ^ 1]
-        for i in range(1, m):
-            np.maximum(best, dp[layer ^ (1 << i)], out=best)
-        dp[layer] = best + zero[layer]
+    zero, dp = _partition_tables([b[spot] for spot in spots], n)
 
     blocks = [(i,) for i, x in enumerate(b) if not x]
     rest = (1 << m) - 1
@@ -95,6 +89,37 @@ def zero_partition_number(
         rest ^= block
     blocks.sort()  # disjoint ascending blocks: by first index
     return len(blocks), tuple(blocks)
+
+
+def _partition_tables(values: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`(zero, dp)`, uint8 arrays indexed by the index subsets S of values,
+    each in [0, n): zero[S] = 1 where S sums to 0 mod n, and dp[S] as in
+    `zero_partition_number`, added up one round A_r at a time."""
+    m = len(values)
+    # the smallest dtype holding 2(n - 1); past uint64 it is exact Python ints
+    sums = allocate(np.zeros, 1 << m, np.min_scalar_type(2 * n), "subset-sum")
+    for i, x in enumerate(values):
+        sums[1 << i : 2 << i] = (sums[: 1 << i] + x) % n
+    zero = (sums == 0).view(np.uint8)
+    del sums
+    dp = np.zeros(1 << m, dtype=np.uint8)  # dp[S] <= m; 2^m entries rule out m > 255
+    try:
+        without = []  # without[i]: the sets without index i, built by doubling
+        for k in range(m):
+            without = [w | w << (1 << k) for w in without] + [(1 << (1 << k)) - 1]
+        zero_sets = int.from_bytes(np.packbits(zero, bitorder="little").tobytes(), "little")
+        seeds = zero_sets & ~1  # every nonempty set has a member of A_0 below it
+        while seeds:
+            reach, strict = seeds, 0  # grow to A_r and to the sets strictly above a seed
+            for i, w in enumerate(without):
+                reach |= (grown := (reach & w) << (1 << i))
+                strict |= grown
+            members = np.frombuffer(reach.to_bytes(max(1, (1 << m) // 8), "little"), np.uint8)
+            dp += np.unpackbits(members, count=1 << m, bitorder="little")
+            seeds = strict & zero_sets  # the sets of Z with a member of A_r one index below
+        return zero, dp
+    except MemoryError:
+        raise CapExceededError(f"the subset bitsets of shape {1 << m} do not fit in memory") from None
 
 
 # candidate blocks tested one by one before the search turns to numpy; about

@@ -2,7 +2,8 @@
 written from the definitions, and the per-move neighbour-index builder: the
 references the array builders, neighbour indices and edge-list writer of
 `rooklab.core` are tested against.  Also the zero-partition checker that
-`rooklab.metrics` witnesses are tested with."""
+`rooklab.metrics` witnesses are tested with, and the popcount-layer fill its
+subset DP tables are tested against."""
 
 from typing import IO, Iterator
 
@@ -127,3 +128,27 @@ def is_zero_partition(blocks, b: tuple[int, ...], n: int) -> bool:
         if sum(b[i] for i in block) % n != 0:
             return False
     return seen == set(range(len(b)))
+
+
+def layered_partition_tables(values, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`(zero, dp)` over the index subsets S of values, each in [0, n), with
+    dp[S] = [S sums to 0 mod n] + max over i in S of dp[S - {i}] filled one
+    popcount layer at a time: every S of layer k gathers dp[S ^ (1 << i)]
+    for all m bits i.  For a bit i not in S that index lies in layer k + 1,
+    still 0, so it never wins the max."""
+    m = len(values)
+    sums = np.zeros(1 << m, dtype=np.min_scalar_type(2 * n))
+    for i, x in enumerate(values):
+        sums[1 << i : 2 << i] = (sums[: 1 << i] + x) % n
+    zero = (sums == 0).view(np.uint8)
+    popcount = np.zeros(1 << m, dtype=np.uint8)
+    for i in range(m):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+    dp = np.zeros(1 << m, dtype=np.uint8)
+    for k in range(1, m + 1):
+        layer = np.flatnonzero(popcount == k)
+        best = dp[layer ^ 1]
+        for i in range(1, m):
+            np.maximum(best, dp[layer ^ (1 << i)], out=best)
+        dp[layer] = best + zero[layer]
+    return zero, dp

@@ -24,7 +24,7 @@ from rooklab.metrics import (
 from rooklab.oracles import oracle_alpha
 
 from bfs import oracle_distances
-from reference import is_zero_partition
+from reference import is_zero_partition, layered_partition_tables
 
 
 def brute_zero_partition_number(b, n):
@@ -91,21 +91,7 @@ def walk_zero_partition(b, n):
     """Reference: the O(2^m * m) layer DP with a witness search that walks
     the candidate submasks one by one in Python."""
     m = len(b)
-    b = tuple(x % n for x in b)
-    sums = np.zeros(1 << m, dtype=object)
-    for i, x in enumerate(b):
-        sums[1 << i : 2 << i] = (sums[: 1 << i] + x) % n
-    zero = (sums == 0).astype(np.uint8)
-    popcount = np.zeros(1 << m, dtype=np.uint8)
-    for i in range(m):
-        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-    dp = np.zeros(1 << m, dtype=np.uint8)
-    for k in range(1, m + 1):
-        layer = np.flatnonzero(popcount == k)
-        best = dp[layer ^ 1]
-        for i in range(1, m):
-            np.maximum(best, dp[layer ^ (1 << i)], out=best)
-        dp[layer] = best + zero[layer]
+    zero, dp = layered_partition_tables(tuple(x % n for x in b), n)
 
     blocks = []
     rest = (1 << m) - 1
@@ -180,6 +166,77 @@ def test_zero_partition_out_of_memory_is_cap_error(monkeypatch):
 
     monkeypatch.setattr(np, "zeros", no_memory)
     with pytest.raises(CapExceededError, match="subset-sum array of shape 64"):
+        zero_partition_number((1,) * 6, 2)
+
+
+def _assert_tables_match_layered(values, n):
+    zero, dp = metrics._partition_tables(list(values), n)
+    ref_zero, ref_dp = layered_partition_tables(values, n)
+    assert zero.dtype == ref_zero.dtype and zero.tobytes() == ref_zero.tobytes(), (values, n)
+    assert dp.dtype == ref_dp.dtype and dp.tobytes() == ref_dp.tobytes(), (values, n)
+
+
+def test_partition_tables_match_layered_fill():
+    # 1,000 random nonzero coordinate lists, m <= 12, as zero_partition_number passes them
+    rng = random.Random(2021_26)
+    for _ in range(1000):
+        m, n = rng.randint(0, 12), rng.randint(2, 40)
+        _assert_tables_match_layered(tuple(rng.randrange(1, n) for _ in range(m)), n)
+
+
+def test_partition_tables_match_layered_fill_with_zero_coordinates():
+    # zero coordinates are zero-sum singletons, so dp passes the floor(m/2) of nonzero
+    # coordinates: on twelve zeros it reaches 12, in 13 rounds
+    rng = random.Random(2021_27)
+    for m in range(1, 13):
+        n = rng.randint(2, 9)
+        values = tuple(rng.choice((0, rng.randrange(n))) for _ in range(m))
+        _assert_tables_match_layered(values, n)
+    _assert_tables_match_layered((0,) * 12, 5)
+
+
+def test_partition_tables_match_layered_fill_modulus_one():
+    # every subset sums to 0 mod 1: dp[S] = |S|
+    for m in range(13):
+        _assert_tables_match_layered((0,) * m, 1)
+
+
+def test_partition_tables_match_layered_fill_huge_modulus():
+    # past uint64 both fills sum in object dtype
+    n = 10**20
+    rng = random.Random(2021_28)
+    for m in range(1, 13):
+        # pairs x, n - x, so that dp counts several blocks, and one odd value out
+        values = [rng.randrange(1, n) for _ in range(m // 2 + m % 2)]
+        values += [n - x for x in values[: m // 2]]
+        rng.shuffle(values)
+        _assert_tables_match_layered(tuple(values), n)
+
+
+def test_zero_partition_default_mask_limit_worst_rounds(monkeypatch):
+    # 22 ones mod 2 at the default mask limit: A_1..A_11 are nonempty and the
+    # twelfth round finds none, the most rounds any 22 nonzero coordinates take
+    unpacked = []
+    unpackbits = np.unpackbits
+
+    def counting_unpackbits(*args, **kwargs):
+        unpacked.append(1)
+        return unpackbits(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unpackbits", counting_unpackbits)
+    count, blocks = zero_partition_number((1,) * 22, 2)
+    assert count == 11
+    assert blocks == tuple((i, i + 1) for i in range(0, 22, 2))
+    assert len(unpacked) == 11
+
+
+def test_zero_partition_bitset_out_of_memory_is_cap_error(monkeypatch):
+    # a MemoryError inside the rounds, after both arrays were allocated
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "unpackbits", no_memory)
+    with pytest.raises(CapExceededError, match="the subset bitsets of shape 64 do not fit in memory"):
         zero_partition_number((1,) * 6, 2)
 
 
