@@ -345,6 +345,11 @@ def _cmd_aut(args) -> int:
     m, n = args.m, args.n
     order = automorphisms.group_order_formula(m, n)
     outside = automorphisms.outside_hypothesis(m, n)
+    cap = config.enum_cap(args.enum_cap)
+    if order > cap:  # the walk below visits every descriptor
+        raise CapExceededError(
+            f"CSR({m},{n}) has {order} automorphism descriptors, over the enumeration cap {cap}"
+        )
     # the backtracking count before any output, so a search over its cap prints nothing
     oracle_count = automorphisms.oracle_aut_count(GraphSpec("CSR", m, n)) if args.oracle else None
     print(

@@ -3,7 +3,8 @@ environment; the oracle caps are fixed.
 
 Environment variables (used when a function receives no explicit value):
 
-    ROOKLAB_ENUM_CAP    max vertex count for full enumeration   (default 10_000_000)
+    ROOKLAB_ENUM_CAP    max vertex count for full enumeration, and max
+                        descriptor count for `aut`'s group walk (default 10_000_000)
     ROOKLAB_EIG_CAP     max vertex count for dense eigensolves  (default 2000)
     ROOKLAB_MASK_LIMIT  max nonzero coordinates for the subset DP (default
                         22, which takes under 1 s and about 60 MB; a CSR

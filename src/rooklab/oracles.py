@@ -31,18 +31,6 @@ forced moves reach the same coloring in any order, or fail in every
 order, so the vertex the node then branches on, the branch tree and the
 color arrays found are those of coloring one forced vertex per node.
 
-Where the process may run on more than one CPU, a coloring search that
-passes _SPLIT_NODES nodes, about the cost of one fork, restarts split.  It
-walks the same tree down to depth _SPLIT_DEPTH and keeps each node there,
-in search order, as a subtree.  Forked workers and the parent take the
-subtrees in order from one queue, and each stops at its first success
-(`parallel.first_success`).  So the lowest subtree that succeeds is the
-first the search in one process completes, and its color array is the one
-that search returns.  A coloring completed above the cut comes after every
-subtree kept before it.  Every _CHECK_NODES nodes a subtree's search checks
-whether a lower subtree has succeeded, and ends if one has: it can no
-longer change the result.
-
 The Hamiltonian-cycle checker reads adjacency only from its definition
 (two vertices differ in exactly two positions) and tests the whole
 (N, m) array at once, in the caller's integer dtype: vertex conditions per
@@ -51,8 +39,6 @@ each row and the next.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -263,43 +249,11 @@ def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
 
 # -- chromatic number ----------------------------------------------------------
 
-# a coloring search that passes this many nodes, about one fork's cost of
-# search, is split across processes
-_SPLIT_NODES = 400
-# the depth at which the split cuts the tree into subtrees
-_SPLIT_DEPTH = 4
-# how many nodes a subtree's search runs between checks that no lower
-# subtree has succeeded
-_CHECK_NODES = 256
-# at most this many subtrees, so their 4-byte indices fit in one pipe write
-# that cannot block; a tree with more is searched in one process
-_MAX_SUBTREES = 4096
-# at most this many processes, the parent included, which forks them one by one
-_MAX_WORKERS = 8
-
-
-class _OverBudget(Exception):
-    """The search passed its node budget, or the split its subtree cap."""
-
-
-def _workers() -> int:
-    """How many processes a split search may use: the CPUs this process may
-    run on, at most _MAX_WORKERS, or 1 where os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
 
 def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
     """A proper k-coloring of the graph with adjacency bitmasks adj, as a
     color array, or None.  The clique is pre-colored 0..len(clique)-1, which
-    is a valid symmetry break.  A search past _SPLIT_NODES nodes restarts
-    split across processes (see the module docstring); the color array is
-    the one the search in one process finds."""
+    is a valid symmetry break."""
     if len(clique) > k:
         return None
     nv = len(adj)
@@ -317,26 +271,8 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
         level[sum(seen >> u & 1 for seen in sees)] |= 1 << u
     if level[k]:
         return None
-    workers = _workers()
-    nodes = 0
-    budget = _SPLIT_NODES if workers > 1 else -1  # -1: no budget
-    check = None  # in a subtree: raises once a lower subtree has succeeded
-    cut = -1  # the depth whose nodes the split takes as subtrees; -1: none
-    subtrees: list[tuple] = []
 
-    def rec(uncolored: int, max_used: int, depth: int) -> bool:
-        nonlocal nodes, budget
-        if depth == cut:
-            subtrees.append((uncolored, max_used, level.copy(), sees.copy(), colors.copy()))
-            if len(subtrees) > _MAX_SUBTREES:
-                raise _OverBudget
-            return False
-        if nodes == budget:
-            if check is None:
-                raise _OverBudget
-            check()
-            budget += _CHECK_NODES
-        nodes += 1
+    def rec(uncolored: int, max_used: int) -> bool:
         # every vertex at level k - 1 has one color left and takes it before
         # anything branches; each pass colors the ones whose last color is
         # c, until no such vertex is left
@@ -406,42 +342,13 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
                 s -= 1
             colors[v] = c
             sees[c] = seen_c | near
-            if rec(uncolored, c if c > max_used else max_used, depth + 1):
+            if rec(uncolored, c if c > max_used else max_used):
                 return True
             level[:] = saved_level
             sees[:] = saved_sees
         return False
 
-    def search(state: tuple) -> bool:
-        # restore a snapshot of the search state and search on from it
-        uncolored, max_used, level[:], sees[:], colors[:] = state
-        return rec(uncolored, max_used, 0)
-
-    root = (uncolored, len(clique) - 1, level.copy(), sees.copy(), colors.copy())
-    try:
-        return colors if search(root) else None
-    except _OverBudget:
-        budget = -1
-    # walk the same tree again down to the cut, taking each node there as a
-    # subtree in search order; a coloring completed above the cut comes after
-    # every subtree taken before it, and ends the walk
-    cut = _SPLIT_DEPTH
-    try:
-        last = colors.copy() if search(root) else None
-    except _OverBudget:  # more subtrees than one pipe write holds
-        cut = -1
-        return colors if search(root) else None
-    cut = -1
-
-    def subtree(i: int, moot_check) -> list[int] | None:
-        nonlocal budget, check
-        budget, check = nodes + _CHECK_NODES, moot_check
-        return colors if search(subtrees[i]) else None
-
-    from .parallel import first_success
-
-    found = first_success(len(subtrees), subtree, nv, workers)
-    return last if found is None else found[1]
+    return colors if rec(uncolored, len(clique) - 1) else None
 
 
 def oracle_chi(
