@@ -7,8 +7,10 @@ Environment variables (used when a function receives no explicit value):
                         descriptor count for `aut`'s group walk (default 10_000_000)
     ROOKLAB_EIG_CAP     max vertex count for dense eigensolves  (default 2000)
     ROOKLAB_MASK_LIMIT  max nonzero coordinates for the subset DP (default
-                        22, which takes under 1 s and about 60 MB; a CSR
-                        distance query counts the places its vertices differ)
+                        22, which takes under 1 s and 50-80 MB, or about
+                        365 MB for a modulus past 2^63, whose subset sums
+                        are Python ints; a CSR distance query counts the
+                        places its vertices differ)
     ROOKLAB_TOL         numeric tolerance for spectral verdicts (default 1e-6)
 
 A negative value, passed explicitly (from --enum-cap, --eig-cap, --mask-limit

@@ -58,15 +58,29 @@ def zero_partition_number(
     A family is one Python int with bit S set for each member S.  Round r
     closes its seeds upward one index at a time, m shift/AND/OR steps on
     2^m-bit ints; the same shifts give the sets strictly above a seed, and
-    their zero-sum members seed round r + 1.  Each nonempty A_r is added
-    into a uint8 dp table.  With the subset sums built by doubling that is
-    O(2^m * m) time, O(2^m) memory.
+    their zero-sum members seed round r + 1.  With the subset sums built by
+    doubling that is O(2^m * m) time and O(2^m * m) bits of memory: the
+    rounds and the families without[i] of the sets that miss index i.
 
     Witness: from R = all indices, repeatedly remove the block with the
     numerically smallest mask that holds R's lowest index, sums to 0 mod n
-    and leaves dp[R - block] = dp[R] - 1.  No such block holds a zero
-    coordinate beside others, so the blocks of the nonzero coordinates,
-    sorted in with the singletons by first index, are that walk's blocks.
+    and leaves dp[R - block] = dp[R] - 1.  The rounds give it directly:
+      - R is always zero-sum, and dp[R] = d starts at the number of nonempty
+        rounds, since every nonempty up-closed family holds the full set;
+        each block lowers d by one.
+      - A zero-sum T strictly inside R has dp[T] <= d - 1: T's best ordering
+        followed by the zero-sum R - T gains the prefix R.  So for the
+        zero-sum rest T = R - block, dp[T] = d - 1 is the same as T in A_{d-1}.
+      - For T within R the mask R - T is the number R - T, so the smallest
+        block leaves the largest T.  That T is the highest set bit of the
+        sets within R, without R's lowest index, in Z or empty, and in
+        A_{d-1}: one AND of bitsets, with no A_0 term since A_0 holds every
+        set (d = 1 leaves the empty set, and the walk ends).
+    Each block costs a few ANDs of 2^m-bit ints, and the sets within R are
+    kept as one int that loses without[i] for each index i a block takes.
+    No such block holds a zero coordinate beside others, so the blocks of
+    the nonzero coordinates, sorted in with the singletons by first index,
+    are that walk's blocks.
     """
     if n < 1:
         raise ValueError(f"modulus n must be >= 1, got {n}")
@@ -79,82 +93,55 @@ def zero_partition_number(
     if m > limit:
         raise CapExceededError(f"{m} nonzero coordinates mod {n}, over the subset-mask limit {limit}")
 
-    zero, dp = _partition_tables([b[spot] for spot in spots], n)
+    zero_sets, without, rounds = _partition_tables([b[spot] for spot in spots], n)
 
     blocks = [(i,) for i, x in enumerate(b) if not x]
-    rest = (1 << m) - 1
-    while rest:
-        block = _smallest_block(zero, dp, rest)
-        blocks.append(tuple(spots[i] for i in range(m) if block >> i & 1))
-        rest ^= block
+    rest, inside = (1 << m) - 1, (1 << (1 << m)) - 1  # inside: the sets within rest
+    for d in range(len(rounds), 0, -1):  # d = dp[rest]
+        low = (rest & -rest).bit_length() - 1
+        fits = inside & without[low] & zero_sets
+        if d > 1:
+            fits &= rounds[d - 2]  # A_{d-1}
+        keep = fits.bit_length() - 1
+        block = rest ^ keep
+        taken = [i for i in range(m) if block >> i & 1]
+        blocks.append(tuple(spots[i] for i in taken))
+        for i in taken:
+            inside &= without[i]
+        rest = keep
     blocks.sort()  # disjoint ascending blocks: by first index
     return len(blocks), tuple(blocks)
 
 
-def _partition_tables(values: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`(zero, dp)`, uint8 arrays indexed by the index subsets S of values,
-    each in [0, n): zero[S] = 1 where S sums to 0 mod n, and dp[S] as in
-    `zero_partition_number`, added up one round A_r at a time."""
+def _partition_tables(values: list[int], n: int) -> tuple[int, list[int], list[int]]:
+    """`(zero_sets, without, rounds)` over the index subsets S of values,
+    each in [0, n), as 2^m-bit ints with bit S set for each member S:
+    zero_sets holds the sets that sum to 0 mod n, without[i] the sets that
+    miss index i, and rounds[r - 1] the family A_r of `zero_partition_number`
+    for each r >= 1 with A_r nonempty."""
     m = len(values)
     # the smallest dtype holding 2(n - 1); past uint64 it is exact Python ints
     sums = allocate(np.zeros, 1 << m, np.min_scalar_type(2 * n), "subset-sum")
     for i, x in enumerate(values):
         sums[1 << i : 2 << i] = (sums[: 1 << i] + x) % n
-    zero = (sums == 0).view(np.uint8)
-    del sums
-    dp = np.zeros(1 << m, dtype=np.uint8)  # dp[S] <= m; 2^m entries rule out m > 255
     try:
+        zero_sets = int.from_bytes(np.packbits(sums == 0, bitorder="little").tobytes(), "little")
+        del sums
         without = []  # without[i]: the sets without index i, built by doubling
         for k in range(m):
             without = [w | w << (1 << k) for w in without] + [(1 << (1 << k)) - 1]
-        zero_sets = int.from_bytes(np.packbits(zero, bitorder="little").tobytes(), "little")
+        rounds = []
         seeds = zero_sets & ~1  # every nonempty set has a member of A_0 below it
         while seeds:
             reach, strict = seeds, 0  # grow to A_r and to the sets strictly above a seed
             for i, w in enumerate(without):
                 reach |= (grown := (reach & w) << (1 << i))
                 strict |= grown
-            members = np.frombuffer(reach.to_bytes(max(1, (1 << m) // 8), "little"), np.uint8)
-            dp += np.unpackbits(members, count=1 << m, bitorder="little")
+            rounds.append(reach)
             seeds = strict & zero_sets  # the sets of Z with a member of A_r one index below
-        return zero, dp
+        return zero_sets, without, rounds
     except MemoryError:
         raise CapExceededError(f"the subset bitsets of shape {1 << m} do not fit in memory") from None
-
-
-# candidate blocks tested one by one before the search turns to numpy; about
-# where one Python test per candidate costs as much as one array pass
-_SCALAR_TRIES = 256
-
-
-def _smallest_block(zero: np.ndarray, dp: np.ndarray, rest: int) -> int:
-    """The numerically smallest block mask that holds the lowest index of
-    `rest`, sums to 0 mod n and leaves dp[rest - block] = dp[rest] - 1; the
-    recurrence guarantees one.
-
-    Candidates low | sub run over the submasks sub of the other indices in
-    ascending order.  Most blocks are among the first few, so those are
-    tested one by one.  Past them, the submasks are built by doubling over
-    the set bits from the lowest, and each new half, which lies above every
-    earlier submask, is tested as one array: a block that needs all
-    2^(|rest| - 1) candidates costs a few array passes, not a Python loop.
-    """
-    low = rest & -rest
-    others = rest ^ low
-    target = dp[rest] - 1
-    sub = 0
-    for _ in range(_SCALAR_TRIES):
-        if zero[sub | low] and dp[others ^ sub] == target:
-            return sub | low
-        sub = (sub - others) & others
-    subs = fresh = np.zeros(1, dtype=np.min_scalar_type(rest))
-    left = others
-    while not (hits := zero[fresh | low] & (dp[others ^ fresh] == target)).any():
-        bit = left & -left
-        left ^= bit
-        fresh = subs | bit
-        subs = np.concatenate((subs, fresh))
-    return int(fresh[np.argmax(hits)]) | low
 
 
 def csr_distance_witness(
@@ -169,12 +156,6 @@ def csr_distance_witness(
     diff = tuple((x - y) % spec.n for x, y in zip(v, u))
     count, blocks = zero_partition_number(diff, spec.n, mask_cap)
     return spec.m - count, blocks
-
-
-def csr_distance(
-    spec: GraphSpec, u: tuple[int, ...], v: tuple[int, ...], mask_cap: int | None = None
-) -> int:
-    return csr_distance_witness(spec, u, v, mask_cap)[0]
 
 
 def csr_diameter(m: int, n: int) -> int:

@@ -28,7 +28,7 @@ from .core import CSR, SR, GraphSpec, format_vertex
 from .metrics import (
     BoundRecord,
     bounds_report,
-    csr_distance,
+    csr_distance_witness,
     csr_eccentric_vertex,
 )
 
@@ -237,7 +237,7 @@ def build_report(
         record = QuantityRecord(name, kind, *built.get(name, (None, None)), **sides)
         if name == "diameter" and spec.family == CSR:
             witness = csr_eccentric_vertex(spec.m, spec.n)
-            wdist = csr_distance(spec, (0,) * spec.m, witness, mask_cap)
+            wdist, _ = csr_distance_witness(spec, (0,) * spec.m, witness, mask_cap)
             note = f"eccentric vertex {format_vertex(witness)} at origin distance {wdist}"
             record.notes = (note,)
             if wdist != record.exact:

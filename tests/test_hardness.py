@@ -12,7 +12,7 @@ from rooklab.hardness import (
     run_reduction,
     solve_3partition,
 )
-from rooklab.metrics import csr_distance
+from rooklab.metrics import csr_distance_witness
 
 from reference import is_zero_partition
 
@@ -38,7 +38,7 @@ def test_instance_validation_examples():
 def test_encode():
     # the vertex (4, 4, 3, 3, 3, 3) of CSR(6, 10): its blocks partition the values mod s
     distance, blocks, _, _ = run_reduction(ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3)))
-    assert distance == csr_distance(csr_spec(6, 10), (0,) * 6, (4, 4, 3, 3, 3, 3))
+    assert distance == csr_distance_witness(csr_spec(6, 10), (0,) * 6, (4, 4, 3, 3, 3, 3))[0]
     assert distance == 6 - len(blocks)
     assert is_zero_partition(blocks, (4, 4, 3, 3, 3, 3), 10)
 
@@ -46,12 +46,12 @@ def test_encode():
 def test_decode_yes_instances():
     inst = ThreePartitionInstance(1, 3, (1, 1, 1))
     distance, _, decoded, _ = run_reduction(inst)
-    assert distance == csr_distance(csr_spec(3, 3), (0, 0, 0), (1, 1, 1)) == 2
+    assert distance == csr_distance_witness(csr_spec(3, 3), (0, 0, 0), (1, 1, 1))[0] == 2
     assert decoded
 
     inst = ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3))
     distance, _, decoded, _ = run_reduction(inst)
-    assert distance == csr_distance(csr_spec(6, 10), (0,) * 6, inst.values) == 4
+    assert distance == csr_distance_witness(csr_spec(6, 10), (0,) * 6, inst.values)[0] == 4
     assert decoded
 
 

@@ -2,19 +2,19 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rooklab import metrics
+from rooklab import config, metrics
 from rooklab.constructions import equal_pair_bound, equal_pair_size
 from rooklab.core import csr_spec, enumerate_vertices, sr_spec
 from rooklab.errors import CapExceededError
 from rooklab.metrics import (
     bounds_report,
     csr_diameter,
-    csr_distance,
     csr_distance_witness,
     csr_eccentric_vertex,
     hoffman_alpha_bound,
@@ -123,14 +123,21 @@ def test_zero_partition_matches_submask_oracle():
         assert zero_partition_number(b, n) == submask_zero_partition(b, n), (b, n)
 
 
-@pytest.mark.parametrize("scalar_tries", [0, 3, metrics._SCALAR_TRIES])
-def test_zero_partition_witness_matches_walk(scalar_tries, monkeypatch):
-    # with few scalar tries most blocks come from the array search
-    monkeypatch.setattr(metrics, "_SCALAR_TRIES", scalar_tries)
+def test_zero_partition_witness_matches_walk():
     rng = random.Random(20261018)
     for _ in range(300):
         m, n = rng.randint(1, 13), rng.choice([2, 3, 5, 12, 40, 1000])
         b = _random_csr_vertex(rng, m, n)
+        assert zero_partition_number(b, n) == walk_zero_partition(b, n), (b, n)
+
+
+def test_zero_partition_witness_matches_walk_up_to_16_coordinates():
+    # 1,000 random vertices, m <= 16, some with zero coordinates or a modulus past uint64
+    rng = random.Random(20261020)
+    for _ in range(1000):
+        m, n = rng.randint(1, 16), rng.choice([2, 3, 5, 12, 40, 1000, 10**20])
+        b = [0 if rng.random() < 0.2 else x for x in _random_csr_vertex(rng, m, n)]
+        b[-1] = (-sum(b[:-1])) % n
         assert zero_partition_number(b, n) == walk_zero_partition(b, n), (b, n)
 
 
@@ -141,6 +148,13 @@ def test_zero_partition_single_block_matches_walk(m):
     n = 1000
     b = (1,) * (m - 1) + (n - m + 1,)
     assert zero_partition_number(b, n) == walk_zero_partition(b, n) == (1, (tuple(range(m)),))
+
+
+@pytest.mark.parametrize("m", range(19, config.DEFAULT_MASK_LIMIT + 1))
+def test_zero_partition_single_block_up_to_mask_limit(m):
+    # as above, up to the default mask limit, where the walk reference is too slow
+    n = 1000
+    assert zero_partition_number((1,) * (m - 1) + (n - m + 1,), n) == (1, (tuple(range(m)),))
 
 
 def test_zero_partition_huge_modulus():
@@ -169,11 +183,24 @@ def test_zero_partition_out_of_memory_is_cap_error(monkeypatch):
         zero_partition_number((1,) * 6, 2)
 
 
+def _members(bitset, size):
+    """The 0/1 uint8 array with bit S of bitset at index S, S < size."""
+    assert bitset >> size == 0
+    packed = np.frombuffer(bitset.to_bytes(max(1, size // 8), "little"), np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little")
+
+
 def _assert_tables_match_layered(values, n):
-    zero, dp = metrics._partition_tables(list(values), n)
+    zero_sets, without, rounds = metrics._partition_tables(list(values), n)
     ref_zero, ref_dp = layered_partition_tables(values, n)
-    assert zero.dtype == ref_zero.dtype and zero.tobytes() == ref_zero.tobytes(), (values, n)
-    assert dp.dtype == ref_dp.dtype and dp.tobytes() == ref_dp.tobytes(), (values, n)
+    size = 1 << len(values)
+    assert len(without) == len(values)
+    for i, w in enumerate(without):
+        assert np.array_equal(_members(w, size), np.arange(size) >> i & 1 ^ 1), (values, n, i)
+    assert _members(zero_sets, size).tobytes() == ref_zero.tobytes(), (values, n)
+    # dp[S] is the number of rounds that hold S
+    dp = sum((_members(r, size) for r in rounds), np.zeros(size, np.uint8))
+    assert all(rounds) and dp.tobytes() == ref_dp.tobytes(), (values, n)
 
 
 def test_partition_tables_match_layered_fill():
@@ -213,29 +240,23 @@ def test_partition_tables_match_layered_fill_huge_modulus():
         _assert_tables_match_layered(tuple(values), n)
 
 
-def test_zero_partition_default_mask_limit_worst_rounds(monkeypatch):
+def test_zero_partition_default_mask_limit_worst_rounds():
     # 22 ones mod 2 at the default mask limit: A_1..A_11 are nonempty and the
     # twelfth round finds none, the most rounds any 22 nonzero coordinates take
-    unpacked = []
-    unpackbits = np.unpackbits
-
-    def counting_unpackbits(*args, **kwargs):
-        unpacked.append(1)
-        return unpackbits(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unpackbits", counting_unpackbits)
     count, blocks = zero_partition_number((1,) * 22, 2)
     assert count == 11
     assert blocks == tuple((i, i + 1) for i in range(0, 22, 2))
-    assert len(unpacked) == 11
+    assert len(metrics._partition_tables([1] * 22, 2)[2]) == 11
 
 
 def test_zero_partition_bitset_out_of_memory_is_cap_error(monkeypatch):
-    # a MemoryError inside the rounds, after both arrays were allocated
-    def no_memory(*args, **kwargs):
-        raise MemoryError
+    # a MemoryError inside the rounds: where round 1 starts to grow its seeds
+    def enumerate_out_of_memory(items, *args):
+        if items is sys._getframe(1).f_locals.get("without"):
+            raise MemoryError
+        return enumerate(items, *args)
 
-    monkeypatch.setattr(np, "unpackbits", no_memory)
+    monkeypatch.setattr(metrics, "enumerate", enumerate_out_of_memory, raising=False)
     with pytest.raises(CapExceededError, match="the subset bitsets of shape 64 do not fit in memory"):
         zero_partition_number((1,) * 6, 2)
 
@@ -337,12 +358,12 @@ def test_zero_partition_validation():
 
 def test_csr_distance_examples():
     spec = csr_spec(4, 2)
-    assert csr_distance(spec, (0, 0, 0, 0), (1, 1, 1, 1)) == 2
+    assert csr_distance_witness(spec, (0, 0, 0, 0), (1, 1, 1, 1))[0] == 2
     assert oracle_distances(spec, (0, 0, 0, 0))[(1, 1, 1, 1)] == 2
-    assert csr_distance(spec, (1, 1, 0, 0), (1, 1, 0, 0)) == 0
+    assert csr_distance_witness(spec, (1, 1, 0, 0), (1, 1, 0, 0))[0] == 0
 
     spec33 = csr_spec(3, 3)
-    assert csr_distance(spec33, (0, 0, 0), (2, 2, 2)) == 2
+    assert csr_distance_witness(spec33, (0, 0, 0), (2, 2, 2))[0] == 2
     assert oracle_distances(spec33, (0, 0, 0))[(2, 2, 2)] == 2
 
 
@@ -362,12 +383,12 @@ def test_csr_distance_equals_bfs_all_pairs(m, n):
     for u in verts:
         bfs = oracle_distances(spec, u)
         for v in verts:
-            assert csr_distance(spec, u, v) == bfs[v]
+            assert csr_distance_witness(spec, u, v)[0] == bfs[v]
 
 
 def test_csr_distance_rejects_sr():
     with pytest.raises(ValueError, match="CSR only"):
-        csr_distance(sr_spec(3, 2), (0, 0, 2), (1, 1, 0))
+        csr_distance_witness(sr_spec(3, 2), (0, 0, 2), (1, 1, 0))
 
 
 def test_csr_distance_large_instance_spot_check():
@@ -378,7 +399,7 @@ def test_csr_distance_large_instance_spot_check():
     rng = random.Random(41)
     targets = rng.sample(sorted(bfs), 60)
     for v in targets:
-        assert csr_distance(spec, source, v) == bfs[v]
+        assert csr_distance_witness(spec, source, v)[0] == bfs[v]
 
 
 # -- diameters ---------------------------------------------------------------------
@@ -402,7 +423,7 @@ def test_csr_diameter_against_bfs_and_witness(m, n):
         ecc[v] = max(oracle_distances(spec, v).values())
     assert max(ecc.values()) == diam
     witness = csr_eccentric_vertex(m, n)
-    assert csr_distance(spec, (0,) * m, witness) == diam
+    assert csr_distance_witness(spec, (0,) * m, witness)[0] == diam
     # minimum block count over all vertices pins the diameter from below
     assert min(
         zero_partition_number(v, n)[0] for v in enumerate_vertices(spec)

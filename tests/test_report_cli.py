@@ -64,7 +64,9 @@ def test_report_without_oracles():
 def _off_by_one_distance(monkeypatch):
     """Make the CSR eccentric-vertex distance miss the diameter formula."""
     monkeypatch.setattr(
-        report, "csr_distance", lambda spec, u, v, cap=None: csr_diameter(spec.m, spec.n) + 1
+        report,
+        "csr_distance_witness",
+        lambda spec, u, v, cap=None: (csr_diameter(spec.m, spec.n) + 1, ()),
     )
 
 
