@@ -31,6 +31,19 @@ forced moves reach the same coloring in any order, or fail in every
 order, so the vertex the node then branches on, the branch tree and the
 color arrays found are those of coloring one forced vertex per node.
 
+`oracle_chi` also breaks the pre-colored clique's symmetry (Crawford,
+Ginsberg, Luks & Roy, KR 1996).  Maps x -> c * x o tau (tau the identity or
+a transposition, c a unit mod n for CSR) are proposed from the coordinates
+and trusted only once the neighbour rows show an automorphism fixing the
+clique.  For the lowest vertex u a kept map moves and its orbit O, the
+search keeps key(color(u)) <= key(color(w)) for w in O, key being the color
+below q = |clique| and q above; coloring either side raises the other past
+the colors this excludes.  Any coloring, composed with the kept automorphism
+sending u to O's lowest-key vertex, meets this and keeps the clique's colors,
+and swapping colors above the clique changes no key, so one brand-new color
+per branch stays complete.  The colorings found may differ from those
+without O.
+
 The Hamiltonian-cycle checker reads adjacency only from its definition
 (two vertices differ in exactly two positions) and tests the whole
 (N, m) array at once, in the caller's integer dtype: vertex conditions per
@@ -40,10 +53,14 @@ each row and the next.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from . import config
-from .core import SR, GraphSpec, Vertex, check_cap, indexed_graph, validate_vertex
+from .core import CSR, SR, GraphSpec, IndexedGraph, Vertex, check_cap, indexed_graph
+from .core import validate_vertex
 
 
 def _bit_graph(
@@ -250,12 +267,16 @@ def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
 # -- chromatic number ----------------------------------------------------------
 
 
-def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
+def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int], orbit=(0, 0)):
     """A proper k-coloring of the graph with adjacency bitmasks adj, as a
     color array, or None.  The clique is pre-colored 0..len(clique)-1, which
-    is a valid symmetry break."""
-    if len(clique) > k:
+    is a valid symmetry break, and so is `_clique_orbit`'s (u, orbit) pair
+    of bitmasks: key(color(u)) <= key(color(w)) for every w in the orbit."""
+    q = len(clique)
+    if q > k:
         return None
+    u_bit, orbit = orbit
+    watch = u_bit | orbit
     nv = len(adj)
     colors = [-1] * nv
     sees = [0] * k  # sees[c]: the vertices with a neighbor colored c
@@ -271,6 +292,29 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
         level[sum(seen >> u & 1 for seen in sees)] |= 1 << u
     if level[k]:
         return None
+
+    def restrict(hit: int, c: int, uncolored: int) -> bool:
+        # the watched vertices in hit took c: the other side loses the
+        # colors whose key breaks the order, each loss one level up, and
+        # False when a vertex at level k - 1 would lose its last color
+        if hit & u_bit:
+            lose, drop = orbit & uncolored, range(min(c, q))
+        else:
+            lose, drop = u_bit & uncolored, range(c + 1 if c < q else k, k)
+        for d in drop:
+            rise = lose & ~sees[d]
+            if rise & level[k - 1]:
+                return False
+            sees[d] |= rise
+            s = k - 2
+            while rise:
+                moved = level[s] & rise
+                if moved:
+                    level[s] ^= moved
+                    level[s + 1] |= moved
+                    rise ^= moved
+                s -= 1
+        return True
 
     def rec(uncolored: int, max_used: int) -> bool:
         # every vertex at level k - 1 has one color left and takes it before
@@ -309,6 +353,8 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
                     s -= 1
                 if c > max_used:
                     max_used = c
+                if forced & watch and not restrict(forced, c, uncolored):
+                    return False
         if not uncolored:
             return True
         # saturation order: most distinct neighbor colors first, lowest index
@@ -342,13 +388,46 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int]):
                 s -= 1
             colors[v] = c
             sees[c] = seen_c | near
-            if rec(uncolored, c if c > max_used else max_used):
+            allowed = not bit & watch or restrict(bit, c, uncolored)
+            if allowed and rec(uncolored, c if c > max_used else max_used):
                 return True
             level[:] = saved_level
             sees[:] = saved_sees
         return False
 
-    return colors if rec(uncolored, len(clique) - 1) else None
+    return colors if rec(uncolored, q - 1) else None
+
+
+def _clique_orbit(graph: IndexedGraph, clique: list[int]) -> tuple[int, int]:
+    """(bit of u, bits of u's other images) for `_k_coloring`, or (0, 0).
+    A proposed map is kept when it fixes the clique and its rank array p is
+    a bijection carrying each vertex's neighbour row onto its image's row."""
+    spec, coords, targets = graph.spec, graph.coords, graph.targets
+    index = np.arange(len(coords))
+    units = [c for c in range(1, spec.n) if math.gcd(c, spec.n) == 1] if spec.family == CSR else [1]
+    swaps = [(0, 0), *itertools.combinations(range(spec.m), 2)]  # (0, 0): the identity
+    kept, u = [], len(coords)
+    for c, (i, j) in itertools.product(units, swaps):
+        order = list(range(spec.m))
+        order[i], order[j] = j, i
+        # SR coordinates reach n, so only a CSR scaling reduces mod n
+        p = graph.rank(coords[:, order] * c % spec.n if c > 1 else coords[:, order])
+        moved = np.flatnonzero(p != index)
+        if (
+            len(moved)
+            and (p[clique] == clique).all()
+            and np.array_equal(np.sort(p), index)
+            and np.array_equal(np.sort(p[targets], axis=1), targets[p])
+        ):
+            kept.append(p.tolist())
+            u = min(u, int(moved[0]))
+    if not kept:
+        return 0, 0
+    orbit, size = {u}, 0
+    while size < len(orbit):
+        size = len(orbit)
+        orbit.update([p[v] for p in kept for v in orbit])
+    return 1 << u, sum(1 << v for v in orbit - {u})
 
 
 def oracle_chi(
@@ -368,7 +447,8 @@ def oracle_chi(
     if alpha is None:
         alpha = oracle_alpha(spec)[0]
     k = max(len(picked), -(-len(verts) // alpha))
-    while (colors := _k_coloring(adj, k, picked)) is None:
+    orbit = _clique_orbit(indexed_graph(spec), picked)
+    while (colors := _k_coloring(adj, k, picked, orbit)) is None:
         k += 1
     return k, dict(zip(verts, colors))
 

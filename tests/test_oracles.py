@@ -14,6 +14,7 @@ from rooklab import oracles
 from rooklab.cli import main
 from rooklab.constructions import anchor_edge, default_prime, hamiltonian_cycle_sr
 from rooklab.core import (
+    IndexedGraph,
     adjacent,
     csr_spec,
     enumerate_vertices,
@@ -25,6 +26,7 @@ from rooklab.errors import CapExceededError
 from rooklab.oracles import (
     _bit_graph,
     _bits,
+    _clique_orbit,
     _k_coloring,
     _max_clique_bits,
     all_pairs_distances,
@@ -691,3 +693,139 @@ def test_cover_search_matches_scan_reference(spec, monkeypatch):
 def test_cover_search_matches_scan_on_random_graphs(seed, monkeypatch):
     # irregular graphs give uneven cover counts and candidate sets
     assert_cover_search_matches_scan(random_graph(seed), monkeypatch)
+
+
+# -- the pre-colored clique's symmetry -----------------------------------------
+
+
+def planted_graph(seed, orbit_size):
+    """Adjacency bitmasks of a seeded random graph, a clique among the
+    vertices its planted automorphisms fix, and one moved vertex u with its
+    orbit's other vertices.  Blocks of orbit_size vertices (a, b, c, d)
+    move: a <-> b, c <-> d under one involution, and for orbit_size 4 also
+    a <-> c, b <-> d under a second that commutes with it.  Each orbit of
+    vertex pairs under that group is all edges or none."""
+    rng = random.Random(seed)
+    fixed, blocks = rng.randint(2, 8), rng.randint(1, 4 if orbit_size == 4 else 8)
+    nv = fixed + orbit_size * blocks
+    label = list(range(nv))
+    rng.shuffle(label)
+    swaps = [(1, 0)] if orbit_size == 2 else [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    group = [list(range(nv))]
+    for swap in swaps:
+        g = list(range(nv))
+        for b in range(blocks):
+            base = fixed + orbit_size * b
+            for i in range(orbit_size):
+                g[label[base + i]] = label[base + swap[i]]
+        group.append(g)
+    p = rng.uniform(0.2, 0.8)
+    adj = [0] * nv
+    for x, y in itertools.combinations(range(nv), 2):
+        if not adj[x] >> y & 1 and rng.random() < p:
+            for g in group:
+                adj[g[x]] |= 1 << g[y]
+                adj[g[y]] |= 1 << g[x]
+    clique = sorted(rng.sample(label[:fixed], rng.randint(1, min(fixed, 4))))
+    for x, y in itertools.combinations(clique, 2):
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+    u = label[fixed + orbit_size * rng.randrange(blocks)]
+    return adj, clique, 1 << u, sum(1 << g[u] for g in group[1:])
+
+
+@pytest.mark.parametrize("orbit_size", [2, 4])
+@pytest.mark.parametrize("seed", range(40))
+def test_k_coloring_with_planted_orbit_agrees_with_scan(seed, orbit_size):
+    # the orbit's constraint may change which colouring is found, never
+    # whether one exists; every k from the clique size to the first success
+    for offset in range(5):
+        adj, clique, u_bit, orbit = planted_graph(100 * seed + offset, orbit_size)
+        nv = len(adj)
+        assert orbit.bit_count() == orbit_size - 1 and not u_bit & orbit
+        for k in range(len(clique), nv + 1):
+            got = _k_coloring(adj, k, clique, (u_bit, orbit))
+            assert (got is None) == (scan_k_coloring(adj, nv, k, clique) is None)
+            if got is not None:
+                break
+        assert all(got[x] != got[y] for x in range(nv) for y in _bits(adj[x]))
+        assert [got[v] for v in clique] == list(range(len(clique)))
+
+
+# every SR and CSR graph with 3 to 64 vertices and m >= 3 (m = 2 is
+# complete) but two whose clique no map fixes, so both searches are the same
+# call there: SR(6,3), whose k = 7 colouring takes about 3 s, and SR(10,2),
+# whose chi search does not finish in 20 s
+SLOW_WITHOUT_ORBIT = [sr_spec(6, 3), sr_spec(10, 2)]
+SMALL_SPECS = [
+    spec
+    for family in (sr_spec, csr_spec)
+    for m in range(3, 12)
+    for n in range(1, 40)
+    if 3 <= (spec := family(m, n)).vertex_count <= 64 and spec not in SLOW_WITHOUT_ORBIT
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=[s.label() for s in SMALL_SPECS])
+def test_chi_with_orbit_matches_count_up_without(spec):
+    verts, adj = _bit_graph(spec)
+    clique = _max_clique_bits(adj, len(verts))
+    alpha = oracle_alpha(spec)[0]
+    k = max(len(clique), -(-len(verts) // alpha))
+    while _k_coloring(adj, k, clique) is None:
+        k += 1
+    count, coloring = oracle_chi(spec, alpha, [verts[i] for i in clique])
+    assert count == k
+    assert all(coloring[v] != coloring[w] for v in coloring for w in neighbors(spec, v))
+
+
+def clique_orbit(spec, graph=None):
+    """_clique_orbit of the clique oracle_chi pre-colors, as vertices."""
+    verts, adj = _bit_graph(spec)
+    clique = _max_clique_bits(adj, len(verts))
+    u_bit, orbit = _clique_orbit(graph or indexed_graph(spec), clique)
+    return [verts[i] for i in _bits(u_bit)], [verts[i] for i in _bits(orbit)]
+
+
+def test_clique_orbit_pins():
+    # SR(4,5): the swap of the first two coordinates fixes the clique
+    # (0,0,j,5-j); CSR(4,4): that swap and 3x with the last two swapped fix
+    # the clique (0,0,j,-j) and generate a 4-vertex orbit
+    assert clique_orbit(sr_spec(4, 5)) == ([(0, 1, 0, 4)], [(1, 0, 0, 4)])
+    assert clique_orbit(csr_spec(4, 4)) == (
+        [(0, 1, 0, 3)], [(0, 3, 1, 0), (1, 0, 0, 3), (3, 0, 1, 0)]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [csr_spec(4, 3), csr_spec(5, 2), csr_spec(5, 3), sr_spec(3, 6), sr_spec(3, 9)]
+    + SLOW_WITHOUT_ORBIT,
+    ids=lambda s: s.label(),
+)
+def test_clique_orbit_none_where_no_map_fixes_the_clique(spec):
+    assert clique_orbit(spec) == ([], [])
+
+
+def test_clique_orbit_drops_a_map_the_adjacency_refutes():
+    # the same coordinates with edges a-b and c-d rewired to a-d and c-b, a
+    # the vertex the coordinate swap moves: the proposal is the same map,
+    # and only the neighbour rows show it is no longer an automorphism
+    spec = sr_spec(4, 5)
+    graph = IndexedGraph(spec)
+    assert clique_orbit(spec, graph) == ([(0, 1, 0, 4)], [(1, 0, 0, 4)])
+    rows = [set(row) for row in graph.targets.tolist()]
+    a = graph.vertices.index((0, 1, 0, 4))
+    b, c, d = next(
+        (b, c, d)
+        for b in sorted(rows[a])
+        for c in range(len(rows))
+        for d in sorted(rows[c])
+        if len({a, b, c, d}) == 4 and d not in rows[a] and b not in rows[c]
+    )
+    rows[a] ^= {b, d}
+    rows[b] ^= {a, c}
+    rows[c] ^= {b, d}
+    rows[d] ^= {a, c}
+    graph.targets = np.array([sorted(row) for row in rows])
+    assert clique_orbit(spec, graph) == ([], [])
