@@ -21,6 +21,7 @@ one analysis share one build.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -309,6 +310,44 @@ class IndexedGraph:
         vertex j is a neighbour of vertex i.  Built on first use, so the
         exact searches of one analysis share one build."""
         return tuple(sum(1 << j for j in row) for row in self.targets.tolist())
+
+    @functools.cached_property
+    def checked_maps(self) -> np.ndarray:
+        """One row p (i -> p[i]) per proposed map x -> c * x o tau (tau the
+        identity or a transposition, c a unit mod n for CSR) or CSR's
+        x -> x + e_0 - e_i that moves a vertex and that the neighbour rows
+        prove an automorphism: p is a bijection carrying each row onto p's."""
+        m, n, coords, targets = self.spec.m, self.spec.n, self.coords, self.targets
+        csr = self.spec.family == CSR
+        units = [1, *(c for c in range(2, n) if math.gcd(c, n) == 1)] if csr else [1]
+        proposals = []
+        for c, (i, j) in itertools.product(units, [(0, 0), *itertools.combinations(range(m), 2)]):
+            order = list(range(m))
+            order[i], order[j] = j, i
+            # SR coordinates reach n, so only a CSR scaling reduces mod n
+            proposals.append(coords[:, order] * c % n if c > 1 else coords[:, order])
+        if csr:
+            e = np.eye(m, dtype=np.int64)
+            proposals += [(coords + e[0] - e[i]) % n for i in range(1, m)]
+        # all proposals at once: a (maps, N, degree) gather, a few MB at the search cap
+        maps = self.rank(np.concatenate(proposals)).reshape(len(proposals), -1)
+        index = np.arange(len(coords))
+        maps = maps[(maps != index).any(axis=1) & (np.sort(maps, axis=1) == index).all(axis=1)]
+        return maps[(np.sort(maps[:, targets], axis=2) == targets[maps]).all(axis=(1, 2))]
+
+    @functools.cached_property
+    def orbits(self) -> tuple[list[int], ...]:
+        """The vertex orbits of the group `checked_maps` generate, each in
+        ascending order, listed by lowest vertex."""
+        # label[v] falls to the lowest vertex of v's orbit, pulled from images
+        label, last = np.arange(len(self.coords)), None
+        while not np.array_equal(label, last):
+            last = label
+            label = np.minimum(label, label[self.checked_maps].min(axis=0, initial=len(label)))
+            label = label[label]
+        order = np.argsort(label, kind="stable")
+        cuts = np.flatnonzero(np.diff(label[order])) + 1
+        return tuple(part.tolist() for part in np.split(order, cuts))
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as index arrays (u < v), sorted by (u, v)."""

@@ -31,11 +31,18 @@ forced moves reach the same coloring in any order, or fail in every
 order, so the vertex the node then branches on, the branch tree and the
 color arrays found are those of coloring one forced vertex per node.
 
+The searches take the graph's symmetry from `IndexedGraph.checked_maps`,
+coordinate maps the neighbour rows prove to be automorphisms.  The alpha
+search, and the gamma search when there are fewer orbits than min |N[v]|,
+branch at the root over their vertex orbits (Ostrowski, Linderoth, Rossi &
+Smriglio, Math. Program. 2011): branch i holds orbit i's lowest vertex and
+none of the orbits before it.  Orbits are invariant, so an automorphism
+maps any solution into the branch of the first orbit it meets; the values
+are the plain searches', the witnesses may differ.
+
 `oracle_chi` also breaks the pre-colored clique's symmetry (Crawford,
-Ginsberg, Luks & Roy, KR 1996).  Maps x -> c * x o tau (tau the identity or
-a transposition, c a unit mod n for CSR) are proposed from the coordinates
-and trusted only once the neighbour rows show an automorphism fixing the
-clique.  For the lowest vertex u a kept map moves and its orbit O, the
+Ginsberg, Luks & Roy, KR 1996) with the checked maps that fix the clique.
+For the lowest vertex u such a map moves and its orbit O, the
 search keeps key(color(u)) <= key(color(w)) for w in O, key being the color
 below q = |clique| and q above; coloring either side raises the other past
 the colors this excludes.  Any coloring, composed with the kept automorphism
@@ -52,9 +59,6 @@ each row and the next.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 import numpy as np
 
@@ -112,7 +116,9 @@ def _color_sort(p: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
-def _max_clique_bits(adj: list[int], nv: int) -> list[int]:
+def _max_clique_bits(adj: list[int], nv: int, orbits=()) -> list[int]:
+    """A maximum clique; with automorphism `orbits` that are not all single
+    vertices, the root branches over them."""
     best = _greedy_clique(adj, nv)
     stack: list[int] = []
 
@@ -132,7 +138,14 @@ def _max_clique_bits(adj: list[int], nv: int) -> list[int]:
             stack.pop()
             p &= ~(1 << v)
 
-    if nv:
+    if 0 < len(orbits) < nv:
+        banned = 0
+        for orbit in orbits:
+            stack.append(orbit[0])
+            expand(adj[orbit[0]] & ~banned)
+            stack.pop()
+            banned |= sum(1 << v for v in orbit)
+    elif nv:
         expand((1 << nv) - 1)
     return sorted(best)
 
@@ -150,7 +163,7 @@ def oracle_alpha(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     nv = len(verts)
     full = (1 << nv) - 1
     comp = [full & ~adj[i] & ~(1 << i) for i in range(nv)]
-    picked = _max_clique_bits(comp, nv)
+    picked = _max_clique_bits(comp, nv, indexed_graph(spec).orbits)
     return len(picked), [verts[i] for i in picked]
 
 
@@ -255,11 +268,29 @@ def _min_cover(closed: list[int], k: int) -> list[int] | None:
 def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact domination number with the cover the search finds at it: k
     counts up from ceil(N / max |N[v]|), which no smaller cover can reach,
-    to the first k with a cover, which exists by k = N."""
+    to the first k with a cover, which exists by k = N.  The root branches
+    over the orbits when there are fewer of them than min |N[v]|."""
     verts, adj = _bit_graph(spec)
-    closed = [adj[i] | (1 << i) for i in range(len(verts))]
-    k = -(-len(closed) // max(c.bit_count() for c in closed))
-    while (found := _min_cover(closed, k)) is None:
+    nv = len(verts)
+    closed = [adj[i] | (1 << i) for i in range(nv)]
+    bounds = [c.bit_count() for c in closed]
+    ranked = sorted(range(nv), key=bounds.__getitem__, reverse=True)
+    orbits = indexed_graph(spec).orbits
+    full = (1 << nv) - 1
+
+    def orbital_cover(k: int) -> list[int] | None:
+        banned = 0
+        for orbit in orbits:
+            rep = orbit[0]
+            unc, available = full & ~closed[rep], full & ~banned & ~(1 << rep)
+            if (sub := _cover_search(unc, k - 1, available, bounds, ranked, closed, nv)) is not None:
+                return [rep, *sub]
+            banned |= sum(1 << v for v in orbit)
+        return None
+
+    cover = orbital_cover if len(orbits) < min(bounds) else lambda k: _min_cover(closed, k)
+    k = -(-nv // max(bounds))
+    while (found := cover(k)) is None:
         k += 1
     return k, sorted(verts[i] for i in found)
 
@@ -399,30 +430,15 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int], orbit=(0, 0)):
 
 
 def _clique_orbit(graph: IndexedGraph, clique: list[int]) -> tuple[int, int]:
-    """(bit of u, bits of u's other images) for `_k_coloring`, or (0, 0).
-    A proposed map is kept when it fixes the clique and its rank array p is
-    a bijection carrying each vertex's neighbour row onto its image's row."""
-    spec, coords, targets = graph.spec, graph.coords, graph.targets
-    index = np.arange(len(coords))
-    units = [c for c in range(1, spec.n) if math.gcd(c, spec.n) == 1] if spec.family == CSR else [1]
-    swaps = [(0, 0), *itertools.combinations(range(spec.m), 2)]  # (0, 0): the identity
-    kept, u = [], len(coords)
-    for c, (i, j) in itertools.product(units, swaps):
-        order = list(range(spec.m))
-        order[i], order[j] = j, i
-        # SR coordinates reach n, so only a CSR scaling reduces mod n
-        p = graph.rank(coords[:, order] * c % spec.n if c > 1 else coords[:, order])
-        moved = np.flatnonzero(p != index)
-        if (
-            len(moved)
-            and (p[clique] == clique).all()
-            and np.array_equal(np.sort(p), index)
-            and np.array_equal(np.sort(p[targets], axis=1), targets[p])
-        ):
-            kept.append(p.tolist())
-            u = min(u, int(moved[0]))
-    if not kept:
+    """(bit of u, bits of u's other images) for `_k_coloring`, or (0, 0),
+    under the graph's checked maps that fix the clique: u is the lowest
+    vertex one of them moves."""
+    maps = graph.checked_maps
+    kept = maps[(maps[:, clique] == clique).all(axis=1)]
+    if not len(kept):
         return 0, 0
+    u = int(np.argmax((kept != np.arange(kept.shape[1])).any(axis=0)))
+    kept = kept.tolist()
     orbit, size = {u}, 0
     while size < len(orbit):
         size = len(orbit)

@@ -810,10 +810,14 @@ def test_clique_orbit_none_where_no_map_fixes_the_clique(spec):
 def test_clique_orbit_drops_a_map_the_adjacency_refutes():
     # the same coordinates with edges a-b and c-d rewired to a-d and c-b, a
     # the vertex the coordinate swap moves: the proposal is the same map,
-    # and only the neighbour rows show it is no longer an automorphism
+    # and only the neighbour rows show it is no longer an automorphism.  The
+    # rewired graph is a fresh IndexedGraph, so no map checked before the
+    # rewiring is cached on it
     spec = sr_spec(4, 5)
     graph = IndexedGraph(spec)
     assert clique_orbit(spec, graph) == ([(0, 1, 0, 4)], [(1, 0, 0, 4)])
+    swap = graph.rank(graph.coords[:, [1, 0, 2, 3]])
+    assert any(np.array_equal(p, swap) for p in graph.checked_maps)
     rows = [set(row) for row in graph.targets.tolist()]
     a = graph.vertices.index((0, 1, 0, 4))
     b, c, d = next(
@@ -827,5 +831,118 @@ def test_clique_orbit_drops_a_map_the_adjacency_refutes():
     rows[b] ^= {a, c}
     rows[c] ^= {b, d}
     rows[d] ^= {a, c}
-    graph.targets = np.array([sorted(row) for row in rows])
-    assert clique_orbit(spec, graph) == ([], [])
+    rewired = IndexedGraph(spec)
+    rewired.targets = np.array([sorted(row) for row in rows])
+    assert not any(np.array_equal(p, swap) for p in rewired.checked_maps)
+    assert_maps_and_orbits(rewired, rows)
+    assert clique_orbit(spec, rewired) == ([], [])
+
+
+# -- checked maps and orbital branching ------------------------------------------
+
+
+def assert_maps_and_orbits(graph, rows):
+    """Each checked map is a permutation that moves a vertex and carries the
+    neighbour sets `rows` onto their images' sets; the orbits partition the
+    vertices, each ascending, listed by lowest vertex, and each is the set
+    the maps reach from its lowest vertex."""
+    nv = len(rows)
+    maps = [p.tolist() for p in graph.checked_maps]
+    for p in maps:
+        assert sorted(p) == list(range(nv)) and p != list(range(nv))
+        assert all({p[w] for w in rows[v]} == rows[p[v]] for v in range(nv))
+    orbits = graph.orbits
+    assert sorted(v for orbit in orbits for v in orbit) == list(range(nv))
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+    for orbit in orbits:
+        assert orbit == sorted(orbit)
+        reached, todo = {orbit[0]}, [orbit[0]]
+        while todo:
+            v = todo.pop()
+            for w in {p[v] for p in maps} - reached:
+                reached.add(w)
+                todo.append(w)
+        assert reached == set(orbit)
+
+
+def plain_alpha(adj):
+    """A maximum independent set by the clique search with a plain root."""
+    nv = len(adj)
+    full = (1 << nv) - 1
+    return _max_clique_bits([full & ~adj[i] & ~(1 << i) for i in range(nv)], nv)
+
+
+def plain_gamma(adj):
+    """The domination number by `_min_cover` counted up as oracle_gamma
+    counts it, without its orbital root."""
+    closed = [a | (1 << i) for i, a in enumerate(adj)]
+    k = -(-len(adj) // max(c.bit_count() for c in closed))
+    while oracles._min_cover(closed, k) is None:
+        k += 1
+    return k
+
+
+def oracle_witness(oracle, spec):
+    """oracle(spec)'s size and witness as a set of vertex indices, checked
+    to hold that many vertices, and the neighbour rows to check it over."""
+    graph = indexed_graph(spec)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    size, witness = oracle(spec)
+    picked = {index[v] for v in witness}
+    assert size == len(picked) == len(witness)
+    return size, picked, graph.targets.tolist()
+
+
+DEGENERATE_SPECS = [
+    sr_spec(1, 0), sr_spec(1, 4), sr_spec(3, 0), sr_spec(5, 0),
+    csr_spec(3, 1), csr_spec(5, 1), csr_spec(2, 2), csr_spec(3, 2),
+]
+
+
+@pytest.mark.parametrize("spec", DEGENERATE_SPECS, ids=[s.label() for s in DEGENERATE_SPECS])
+def test_checked_maps_and_orbits_on_degenerate_specs(spec):
+    # one vertex, K_2 and K_4; the orbital tests below take their values
+    graph = IndexedGraph(spec)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    rows = [{index[w] for w in neighbors(spec, v)} for v in graph.vertices]
+    assert_maps_and_orbits(graph, rows)
+    assert oracle_alpha(spec)[0] == oracle_gamma(spec)[0] == 1
+
+
+def orbital_specs(slow):
+    """The degenerate specs, then every SR and CSR graph with m >= 3, n >= 2
+    and N <= 200 (m = 2 or n = 1 gives a complete graph or one vertex) but
+    the labels in slow."""
+    return list(dict.fromkeys(DEGENERATE_SPECS + [
+        spec
+        for family in (sr_spec, csr_spec)
+        for m in range(3, 20)
+        for n in range(2, 19)
+        if (spec := family(m, n)).vertex_count <= 200 and spec.label() not in slow
+    ]))
+
+
+# left out: the graphs on which the plain search takes more than about 2 s
+ORBITAL_ALPHA_SPECS = orbital_specs({
+    "SR(3,17)", "SR(3,18)", "SR(4,8)", "SR(6,4)", "SR(8,3)", "SR(9,3)", "SR(16,2)",
+    "SR(17,2)", "SR(18,2)", "SR(19,2)", "CSR(3,12)", "CSR(3,14)",
+})
+ORBITAL_GAMMA_SPECS = orbital_specs({
+    "SR(3,15)", "SR(3,16)", "SR(3,17)", "SR(3,18)", "SR(4,7)", "SR(4,8)", "SR(5,5)",
+    "SR(6,4)", "SR(8,3)", "SR(9,3)", "SR(14,2)", "SR(15,2)", "SR(16,2)", "SR(17,2)",
+    "SR(18,2)", "SR(19,2)", "CSR(3,13)", "CSR(8,2)",
+})
+
+
+@pytest.mark.parametrize("spec", ORBITAL_ALPHA_SPECS, ids=[s.label() for s in ORBITAL_ALPHA_SPECS])
+def test_orbital_alpha_matches_plain_search(spec):
+    size, picked, rows = oracle_witness(oracle_alpha, spec)
+    assert size == len(plain_alpha(_bit_graph(spec)[1]))
+    assert not any(w in picked for v in picked for w in rows[v])
+
+
+@pytest.mark.parametrize("spec", ORBITAL_GAMMA_SPECS, ids=[s.label() for s in ORBITAL_GAMMA_SPECS])
+def test_orbital_gamma_matches_plain_search(spec):
+    size, picked, rows = oracle_witness(oracle_gamma, spec)
+    assert size == plain_gamma(_bit_graph(spec)[1])
+    assert picked.union(*(rows[v] for v in picked)) == set(range(len(rows)))
