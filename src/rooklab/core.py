@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -311,39 +311,50 @@ class IndexedGraph:
         exact searches of one analysis share one build."""
         return tuple(sum(1 << j for j in row) for row in self.targets.tolist())
 
-    @functools.cached_property
-    def checked_maps(self) -> np.ndarray:
-        """One row p (i -> p[i]) per proposed map x -> c * x o tau (tau the
-        identity or a transposition, c a unit mod n for CSR) or CSR's
-        x -> x + e_0 - e_i that moves a vertex and that the neighbour rows
-        prove an automorphism: p is a bijection carrying each row onto p's."""
-        m, n, coords, targets = self.spec.m, self.spec.n, self.coords, self.targets
-        csr = self.spec.family == CSR
-        units = [1, *(c for c in range(2, n) if math.gcd(c, n) == 1)] if csr else [1]
-        proposals = []
-        for c, (i, j) in itertools.product(units, [(0, 0), *itertools.combinations(range(m), 2)]):
+    def scaled_swaps(self, swaps) -> Iterator[np.ndarray]:
+        """The vertex images under x -> c * x o tau, one (N, m) array per map:
+        tau swaps positions i and j for each (i, j) in swaps ((0, 0) is the
+        identity), and c is 1 or, for CSR, each unit mod n."""
+        m, n = self.spec.m, self.spec.n
+        units = [c for c in range(1, n) if math.gcd(c, n) == 1] if self.spec.family == CSR else [1]
+        for c, (i, j) in itertools.product(units, swaps):
             order = list(range(m))
             order[i], order[j] = j, i
             # SR coordinates reach n, so only a CSR scaling reduces mod n
-            proposals.append(coords[:, order] * c % n if c > 1 else coords[:, order])
-        if csr:
+            yield self.coords[:, order] * c % n if c > 1 else self.coords[:, order]
+
+    def checked_maps(self, images: Iterable[np.ndarray]) -> list[np.ndarray]:
+        """The rank arrays p (i -> p[i]) of the proposed vertex images that
+        move a vertex and that the neighbour rows prove automorphisms: p is a
+        bijection carrying each row onto p's.  One map at a time, so a check
+        holds one (N, degree) gather however many maps are proposed."""
+        index, targets = np.arange(len(self.coords)), self.targets
+        moved = (p for p in map(self.rank, images) if (p != index).any())
+        bijections = (p for p in moved if np.array_equal(np.sort(p), index))
+        return [p for p in bijections if np.array_equal(np.sort(p[targets], axis=1), targets[p])]
+
+    @functools.cached_property
+    def generators(self) -> list[np.ndarray]:
+        """The checked maps among x -> c * x o (0 i) and CSR's translations
+        x -> x + e_0 - e_i.  When all pass they generate every map
+        x -> c * x o tau, tau the identity or a transposition."""
+        m, n = self.spec.m, self.spec.n
+        images = self.scaled_swaps([(0, i) for i in range(m)])
+        if self.spec.family == CSR:
             e = np.eye(m, dtype=np.int64)
-            proposals += [(coords + e[0] - e[i]) % n for i in range(1, m)]
-        # all proposals at once: a (maps, N, degree) gather, a few MB at the search cap
-        maps = self.rank(np.concatenate(proposals)).reshape(len(proposals), -1)
-        index = np.arange(len(coords))
-        maps = maps[(maps != index).any(axis=1) & (np.sort(maps, axis=1) == index).all(axis=1)]
-        return maps[(np.sort(maps[:, targets], axis=2) == targets[maps]).all(axis=(1, 2))]
+            images = itertools.chain(images, ((self.coords + e[0] - e[i]) % n for i in range(1, m)))
+        return self.checked_maps(images)
 
     @functools.cached_property
     def orbits(self) -> tuple[list[int], ...]:
-        """The vertex orbits of the group `checked_maps` generate, each in
+        """The vertex orbits of the group `generators` generate, each in
         ascending order, listed by lowest vertex."""
         # label[v] falls to the lowest vertex of v's orbit, pulled from images
         label, last = np.arange(len(self.coords)), None
+        maps = np.array(self.generators, dtype=np.int64).reshape(-1, len(label))
         while not np.array_equal(label, last):
             last = label
-            label = np.minimum(label, label[self.checked_maps].min(axis=0, initial=len(label)))
+            label = np.minimum(label, label[maps].min(axis=0, initial=len(label)))
             label = label[label]
         order = np.argsort(label, kind="stable")
         cuts = np.flatnonzero(np.diff(label[order])) + 1

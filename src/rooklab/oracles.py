@@ -31,18 +31,18 @@ forced moves reach the same coloring in any order, or fail in every
 order, so the vertex the node then branches on, the branch tree and the
 color arrays found are those of coloring one forced vertex per node.
 
-The searches take the graph's symmetry from `IndexedGraph.checked_maps`,
-coordinate maps the neighbour rows prove to be automorphisms.  The alpha
-search, and the gamma search when there are fewer orbits than min |N[v]|,
-branch at the root over their vertex orbits (Ostrowski, Linderoth, Rossi &
-Smriglio, Math. Program. 2011): branch i holds orbit i's lowest vertex and
-none of the orbits before it.  Orbits are invariant, so an automorphism
-maps any solution into the branch of the first orbit it meets; the values
-are the plain searches', the witnesses may differ.
+The alpha and gamma searches branch at the root over the vertex orbits
+of `IndexedGraph.generators`, coordinate maps the neighbour rows prove to be
+automorphisms (Ostrowski, Linderoth, Rossi & Smriglio, Math. Program.
+2011): branch i holds orbit i's lowest vertex and none of the orbits before
+it.  Orbits are invariant, so an automorphism maps any solution into the
+branch of the first orbit it meets; the values are the plain searches', the
+witnesses may differ.
 
 `oracle_chi` also breaks the pre-colored clique's symmetry (Crawford,
-Ginsberg, Luks & Roy, KR 1996) with the checked maps that fix the clique.
-For the lowest vertex u such a map moves and its orbit O, the
+Ginsberg, Luks & Roy, KR 1996) with the checked maps x -> c * x o tau (tau
+the identity or a transposition, c a unit mod n for CSR) that fix the
+clique.  For the lowest vertex u such a map moves and its orbit O, the
 search keeps key(color(u)) <= key(color(w)) for w in O, key being the color
 below q = |clique| and q above; coloring either side raises the other past
 the colors this excludes.  Any coloring, composed with the kept automorphism
@@ -59,6 +59,8 @@ each row and the next.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -158,7 +160,8 @@ def oracle_omega(spec: GraphSpec) -> tuple[int, list[Vertex]]:
 
 
 def oracle_alpha(spec: GraphSpec) -> tuple[int, list[Vertex]]:
-    """Exact independence number: maximum clique of the complement."""
+    """Exact independence number: maximum clique of the complement, with
+    the root branching over the vertex orbits."""
     verts, adj = _bit_graph(spec)
     nv = len(verts)
     full = (1 << nv) - 1
@@ -257,7 +260,8 @@ def _cover_search(
 
 
 def _min_cover(closed: list[int], k: int) -> list[int] | None:
-    """At most k vertices whose closed neighborhoods cover every vertex."""
+    """At most k vertices whose closed neighborhoods cover every vertex, from
+    a plain root: the reference for `oracle_gamma`'s orbital one."""
     nv = len(closed)
     full = (1 << nv) - 1
     bounds = [c.bit_count() for c in closed]
@@ -269,30 +273,23 @@ def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact domination number with the cover the search finds at it: k
     counts up from ceil(N / max |N[v]|), which no smaller cover can reach,
     to the first k with a cover, which exists by k = N.  The root branches
-    over the orbits when there are fewer of them than min |N[v]|."""
+    over the vertex orbits."""
     verts, adj = _bit_graph(spec)
     nv = len(verts)
     closed = [adj[i] | (1 << i) for i in range(nv)]
     bounds = [c.bit_count() for c in closed]
     ranked = sorted(range(nv), key=bounds.__getitem__, reverse=True)
-    orbits = indexed_graph(spec).orbits
     full = (1 << nv) - 1
-
-    def orbital_cover(k: int) -> list[int] | None:
+    k = -(-nv // max(bounds))
+    while True:
         banned = 0
-        for orbit in orbits:
+        for orbit in indexed_graph(spec).orbits:
             rep = orbit[0]
             unc, available = full & ~closed[rep], full & ~banned & ~(1 << rep)
             if (sub := _cover_search(unc, k - 1, available, bounds, ranked, closed, nv)) is not None:
-                return [rep, *sub]
+                return k, sorted(verts[i] for i in [rep, *sub])
             banned |= sum(1 << v for v in orbit)
-        return None
-
-    cover = orbital_cover if len(orbits) < min(bounds) else lambda k: _min_cover(closed, k)
-    k = -(-nv // max(bounds))
-    while (found := cover(k)) is None:
         k += 1
-    return k, sorted(verts[i] for i in found)
 
 
 # -- chromatic number ----------------------------------------------------------
@@ -431,14 +428,15 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int], orbit=(0, 0)):
 
 def _clique_orbit(graph: IndexedGraph, clique: list[int]) -> tuple[int, int]:
     """(bit of u, bits of u's other images) for `_k_coloring`, or (0, 0),
-    under the graph's checked maps that fix the clique: u is the lowest
-    vertex one of them moves."""
-    maps = graph.checked_maps
-    kept = maps[(maps[:, clique] == clique).all(axis=1)]
-    if not len(kept):
+    under the checked maps x -> c * x o tau (tau the identity or a
+    transposition) that fix the clique: u is the lowest vertex one moves."""
+    fixed = graph.coords[clique]
+    swaps = [(0, 0), *itertools.combinations(range(graph.spec.m), 2)]
+    fixing = (x for x in graph.scaled_swaps(swaps) if np.array_equal(x[clique], fixed))
+    kept = [p.tolist() for p in graph.checked_maps(fixing)]
+    if not kept:
         return 0, 0
-    u = int(np.argmax((kept != np.arange(kept.shape[1])).any(axis=0)))
-    kept = kept.tolist()
+    u = min(next(v for v, w in enumerate(p) if v != w) for p in kept)
     orbit, size = {u}, 0
     while size < len(orbit):
         size = len(orbit)

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -817,7 +818,7 @@ def test_clique_orbit_drops_a_map_the_adjacency_refutes():
     graph = IndexedGraph(spec)
     assert clique_orbit(spec, graph) == ([(0, 1, 0, 4)], [(1, 0, 0, 4)])
     swap = graph.rank(graph.coords[:, [1, 0, 2, 3]])
-    assert any(np.array_equal(p, swap) for p in graph.checked_maps)
+    assert any(np.array_equal(p, swap) for p in graph.generators)
     rows = [set(row) for row in graph.targets.tolist()]
     a = graph.vertices.index((0, 1, 0, 4))
     b, c, d = next(
@@ -833,7 +834,7 @@ def test_clique_orbit_drops_a_map_the_adjacency_refutes():
     rows[d] ^= {a, c}
     rewired = IndexedGraph(spec)
     rewired.targets = np.array([sorted(row) for row in rows])
-    assert not any(np.array_equal(p, swap) for p in rewired.checked_maps)
+    assert not any(np.array_equal(p, swap) for p in rewired.generators)
     assert_maps_and_orbits(rewired, rows)
     assert clique_orbit(spec, rewired) == ([], [])
 
@@ -847,7 +848,7 @@ def assert_maps_and_orbits(graph, rows):
     vertices, each ascending, listed by lowest vertex, and each is the set
     the maps reach from its lowest vertex."""
     nv = len(rows)
-    maps = [p.tolist() for p in graph.checked_maps]
+    maps = [p.tolist() for p in graph.generators]
     for p in maps:
         assert sorted(p) == list(range(nv)) and p != list(range(nv))
         assert all({p[w] for w in rows[v]} == rows[p[v]] for v in range(nv))
@@ -907,6 +908,26 @@ def test_checked_maps_and_orbits_on_degenerate_specs(spec):
     rows = [{index[w] for w in neighbors(spec, v)} for v in graph.vertices]
     assert_maps_and_orbits(graph, rows)
     assert oracle_alpha(spec)[0] == oracle_gamma(spec)[0] == 1
+
+
+LARGE_COMPLETE_SPECS = [sr_spec(199, 1), csr_spec(2, 199)]
+
+
+@pytest.mark.parametrize("spec", LARGE_COMPLETE_SPECS, ids=[s.label() for s in LARGE_COMPLETE_SPECS])
+def test_orbital_searches_on_large_complete_graphs_stay_small(spec):
+    # K_199 under the search cap, from 199 positions or 198 units mod 199:
+    # the maps are checked one at a time, so the peak is a few (N, degree)
+    # arrays, not one per proposed map
+    graph = indexed_graph(spec)
+    graph.adjacency_bits
+    tracemalloc.start()
+    try:
+        assert oracle_alpha(spec)[0] == oracle_gamma(spec)[0] == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.orbits) == 1
+    assert peak < 16_000_000
 
 
 def orbital_specs(slow):
