@@ -31,15 +31,11 @@ from collections import defaultdict
 from typing import Iterator
 
 from . import config
-from .core import GraphSpec, csr_spec
-
-
-def _units(n: int) -> list[int]:
-    return [c for c in range(n) if math.gcd(c, n) == 1]
+from .core import GraphSpec, csr_spec, units
 
 
 def euler_phi(n: int) -> int:
-    return len(_units(n))
+    return len(units(n))
 
 
 def group_order_formula(m: int, n: int) -> int:
@@ -60,7 +56,7 @@ def enumerate_group(m: int, n: int) -> Iterator[tuple[tuple[int, ...], int, tupl
     permutes 0..m-1, c is a unit mod n and d is a zero-sum offset vector."""
     csr_spec(m, n)
     for sigma in itertools.permutations(range(m)):
-        for c in _units(n):
+        for c in units(n):
             for prefix in itertools.product(range(n), repeat=m - 1):
                 d = prefix + ((-sum(prefix)) % n,)
                 yield sigma, c, d

@@ -316,8 +316,8 @@ class IndexedGraph:
         tau swaps positions i and j for each (i, j) in swaps ((0, 0) is the
         identity), and c is 1 or, for CSR, each unit mod n."""
         m, n = self.spec.m, self.spec.n
-        units = [c for c in range(1, n) if math.gcd(c, n) == 1] if self.spec.family == CSR else [1]
-        for c, (i, j) in itertools.product(units, swaps):
+        scales = units(n) if self.spec.family == CSR else [1]
+        for c, (i, j) in itertools.product(scales, swaps):
             order = list(range(m))
             order[i], order[j] = j, i
             # SR coordinates reach n, so only a CSR scaling reduces mod n
@@ -335,30 +335,19 @@ class IndexedGraph:
 
     @functools.cached_property
     def generators(self) -> list[np.ndarray]:
-        """The checked maps among x -> c * x o (0 i) and CSR's translations
-        x -> x + e_0 - e_i.  When all pass they generate every map
-        x -> c * x o tau, tau the identity or a transposition."""
+        """The checked maps among the swaps x -> x o (0 i) for SR, and among
+        the translations x -> x + e_0 - e_i for CSR, which alone make every
+        CSR graph one orbit."""
         m, n = self.spec.m, self.spec.n
-        images = self.scaled_swaps([(0, i) for i in range(m)])
-        if self.spec.family == CSR:
-            e = np.eye(m, dtype=np.int64)
-            images = itertools.chain(images, ((self.coords + e[0] - e[i]) % n for i in range(1, m)))
-        return self.checked_maps(images)
+        if self.spec.family == SR:
+            return self.checked_maps(self.scaled_swaps([(0, i) for i in range(1, m)]))
+        e = np.eye(m, dtype=np.int64)
+        return self.checked_maps((self.coords + e[0] - e[i]) % n for i in range(1, m))
 
     @functools.cached_property
     def orbits(self) -> tuple[list[int], ...]:
-        """The vertex orbits of the group `generators` generate, each in
-        ascending order, listed by lowest vertex."""
-        # label[v] falls to the lowest vertex of v's orbit, pulled from images
-        label, last = np.arange(len(self.coords)), None
-        maps = np.array(self.generators, dtype=np.int64).reshape(-1, len(label))
-        while not np.array_equal(label, last):
-            last = label
-            label = np.minimum(label, label[maps].min(axis=0, initial=len(label)))
-            label = label[label]
-        order = np.argsort(label, kind="stable")
-        cuts = np.flatnonzero(np.diff(label[order])) + 1
-        return tuple(part.tolist() for part in np.split(order, cuts))
+        """The vertex orbits of the group `generators` generate."""
+        return orbits(len(self.coords), self.generators)
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as index arrays (u < v), sorted by (u, v)."""
@@ -370,6 +359,26 @@ class IndexedGraph:
         mat = allocate(np.zeros, (len(self.coords),) * 2, dtype, "dense adjacency")
         mat[np.arange(len(mat))[:, None], self.targets] = 1
         return mat
+
+
+def units(n: int) -> list[int]:
+    """The units mod n in ascending order: [0] for n = 1."""
+    return [c for c in range(n) if math.gcd(c, n) == 1]
+
+
+def orbits(nv: int, maps: list[np.ndarray]) -> tuple[list[int], ...]:
+    """The orbits on 0..nv - 1 of the group the rank arrays `maps`
+    generate, each in ascending order, listed by lowest vertex."""
+    # label[v] falls to the lowest vertex of v's orbit, pulled from images
+    label, last = np.arange(nv), None
+    images = np.array(maps, dtype=np.int64).reshape(-1, nv)
+    while not np.array_equal(label, last):
+        last = label
+        label = np.minimum(label, label[images].min(axis=0, initial=nv))
+        label = label[label]
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return tuple(part.tolist() for part in np.split(order, cuts))
 
 
 # one entry serves every caller in one analysis; more would keep earlier

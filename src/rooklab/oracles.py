@@ -39,17 +39,16 @@ it.  Orbits are invariant, so an automorphism maps any solution into the
 branch of the first orbit it meets; the values are the plain searches', the
 witnesses may differ.
 
-`oracle_chi` also breaks the pre-colored clique's symmetry (Crawford,
-Ginsberg, Luks & Roy, KR 1996) with the checked maps x -> c * x o tau (tau
-the identity or a transposition, c a unit mod n for CSR) that fix the
-clique.  For the lowest vertex u such a map moves and its orbit O, the
-search keeps key(color(u)) <= key(color(w)) for w in O, key being the color
-below q = |clique| and q above; coloring either side raises the other past
-the colors this excludes.  Any coloring, composed with the kept automorphism
-sending u to O's lowest-key vertex, meets this and keeps the clique's colors,
-and swapping colors above the clique changes no key, so one brand-new color
-per branch stays complete.  The colorings found may differ from those
-without O.
+`oracle_chi` breaks the pre-colored clique's symmetry (Crawford, Ginsberg,
+Luks & Roy, KR 1996) at the root too, with the checked maps x -> c * x o tau
+(tau the identity or a transposition, c a unit mod n for CSR) that fix the
+clique.  For the lowest vertex u of their first orbit O with more than one
+vertex, the root gives u each color c < min(q + 1, k), q = |clique|, and
+lets O's vertices see the colors below min(c, q).  A kept automorphism takes
+any coloring to one, with the same clique colors, in which u's key (its
+color below q, and q above) is no larger than any vertex of O's; the colors
+from q up are interchangeable, so u's can then be q.  The colorings found
+may differ from those without O.
 
 The Hamiltonian-cycle checker reads adjacency only from its definition
 (two vertices differ in exactly two positions) and tests the whole
@@ -65,7 +64,7 @@ import itertools
 import numpy as np
 
 from . import config
-from .core import CSR, SR, GraphSpec, IndexedGraph, Vertex, check_cap, indexed_graph
+from .core import CSR, SR, GraphSpec, IndexedGraph, Vertex, check_cap, indexed_graph, orbits
 from .core import validate_vertex
 
 
@@ -297,52 +296,22 @@ def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
 
 def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int], orbit=(0, 0)):
     """A proper k-coloring of the graph with adjacency bitmasks adj, as a
-    color array, or None.  The clique is pre-colored 0..len(clique)-1, which
-    is a valid symmetry break, and so is `_clique_orbit`'s (u, orbit) pair
-    of bitmasks: key(color(u)) <= key(color(w)) for every w in the orbit."""
+    color array, or None.  The clique is pre-colored 0..q-1, q = len(clique),
+    a valid symmetry break.  With `_clique_orbit`'s (u, orbit) bitmasks the
+    root gives u each color c < min(q + 1, k) it does not see, and the
+    orbit sees the colors below min(c, q); without them it searches once."""
     q = len(clique)
     if q > k:
         return None
     u_bit, orbit = orbit
-    watch = u_bit | orbit
     nv = len(adj)
     colors = [-1] * nv
-    sees = [0] * k  # sees[c]: the vertices with a neighbor colored c
-    uncolored = (1 << nv) - 1
+    clique_sees = [0] * k  # clique_sees[c]: the neighbors of the clique's c
+    uncolored = (1 << nv) - 1 ^ u_bit  # the root colors u
     for c, v in enumerate(clique):
         colors[v] = c
-        sees[c] = adj[v]
+        clique_sees[c] = adj[v]
         uncolored ^= 1 << v
-    # level[s]: the uncolored vertices with saturation (distinct neighbor
-    # colors) s; a vertex at level k sees every color and has none left
-    level = [0] * (k + 1)
-    for u in _bits(uncolored):
-        level[sum(seen >> u & 1 for seen in sees)] |= 1 << u
-    if level[k]:
-        return None
-
-    def restrict(hit: int, c: int, uncolored: int) -> bool:
-        # the watched vertices in hit took c: the other side loses the
-        # colors whose key breaks the order, each loss one level up, and
-        # False when a vertex at level k - 1 would lose its last color
-        if hit & u_bit:
-            lose, drop = orbit & uncolored, range(min(c, q))
-        else:
-            lose, drop = u_bit & uncolored, range(c + 1 if c < q else k, k)
-        for d in drop:
-            rise = lose & ~sees[d]
-            if rise & level[k - 1]:
-                return False
-            sees[d] |= rise
-            s = k - 2
-            while rise:
-                moved = level[s] & rise
-                if moved:
-                    level[s] ^= moved
-                    level[s + 1] |= moved
-                    rise ^= moved
-                s -= 1
-        return True
 
     def rec(uncolored: int, max_used: int) -> bool:
         # every vertex at level k - 1 has one color left and takes it before
@@ -381,8 +350,6 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int], orbit=(0, 0)):
                     s -= 1
                 if c > max_used:
                     max_used = c
-                if forced & watch and not restrict(forced, c, uncolored):
-                    return False
         if not uncolored:
             return True
         # saturation order: most distinct neighbor colors first, lowest index
@@ -416,32 +383,45 @@ def _k_coloring(adj: tuple[int, ...], k: int, clique: list[int], orbit=(0, 0)):
                 s -= 1
             colors[v] = c
             sees[c] = seen_c | near
-            allowed = not bit & watch or restrict(bit, c, uncolored)
-            if allowed and rec(uncolored, c if c > max_used else max_used):
+            if rec(uncolored, c if c > max_used else max_used):
                 return True
             level[:] = saved_level
             sees[:] = saved_sees
         return False
 
-    return colors if rec(uncolored, q - 1) else None
+    u = u_bit.bit_length() - 1
+    # without an orbit, one root, max_used the clique's top color q - 1
+    for c in range(min(q + 1, k)) if u_bit else [q - 1]:
+        sees = clique_sees.copy()  # sees[c]: the vertices with a neighbor colored c
+        if u_bit:
+            if sees[c] & u_bit:
+                continue
+            colors[u] = c
+            sees[c] |= adj[u]
+            for d in range(min(c, q)):
+                sees[d] |= orbit
+        # level[s]: the uncolored vertices with saturation (distinct neighbor
+        # colors) s; a vertex at level k sees every color and has none left
+        level = [0] * (k + 1)
+        for w in _bits(uncolored):
+            level[sum(seen >> w & 1 for seen in sees)] |= 1 << w
+        if not level[k] and rec(uncolored, max(c, q - 1)):
+            return colors
+    return None
 
 
 def _clique_orbit(graph: IndexedGraph, clique: list[int]) -> tuple[int, int]:
     """(bit of u, bits of u's other images) for `_k_coloring`, or (0, 0),
     under the checked maps x -> c * x o tau (tau the identity or a
-    transposition) that fix the clique: u is the lowest vertex one moves."""
+    transposition) that fix the clique: u is the lowest vertex of the first
+    orbit with more than one vertex."""
     fixed = graph.coords[clique]
     swaps = [(0, 0), *itertools.combinations(range(graph.spec.m), 2)]
     fixing = (x for x in graph.scaled_swaps(swaps) if np.array_equal(x[clique], fixed))
-    kept = [p.tolist() for p in graph.checked_maps(fixing)]
-    if not kept:
-        return 0, 0
-    u = min(next(v for v, w in enumerate(p) if v != w) for p in kept)
-    orbit, size = {u}, 0
-    while size < len(orbit):
-        size = len(orbit)
-        orbit.update([p[v] for p in kept for v in orbit])
-    return 1 << u, sum(1 << v for v in orbit - {u})
+    for u, *rest in orbits(len(graph.coords), graph.checked_maps(fixing)):
+        if rest:
+            return 1 << u, sum(1 << v for v in rest)
+    return 0, 0
 
 
 def oracle_chi(

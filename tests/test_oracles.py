@@ -738,7 +738,7 @@ def planted_graph(seed, orbit_size):
 @pytest.mark.parametrize("orbit_size", [2, 4])
 @pytest.mark.parametrize("seed", range(40))
 def test_k_coloring_with_planted_orbit_agrees_with_scan(seed, orbit_size):
-    # the orbit's constraint may change which colouring is found, never
+    # the orbit's root break may change which colouring is found, never
     # whether one exists; every k from the clique size to the first success
     for offset in range(5):
         adj, clique, u_bit, orbit = planted_graph(100 * seed + offset, orbit_size)
@@ -750,7 +750,11 @@ def test_k_coloring_with_planted_orbit_agrees_with_scan(seed, orbit_size):
             if got is not None:
                 break
         assert all(got[x] != got[y] for x in range(nv) for y in _bits(adj[x]))
-        assert [got[v] for v in clique] == list(range(len(clique)))
+        q = len(clique)
+        assert [got[v] for v in clique] == list(range(q))
+        # the key is the colour below q, and q for any colour above it
+        key_u = min(got[u_bit.bit_length() - 1], q)
+        assert all(key_u <= min(got[w], q) for w in _bits(orbit))
 
 
 # every SR and CSR graph with 3 to 64 vertices and m >= 3 (m = 2 is
@@ -915,7 +919,7 @@ LARGE_COMPLETE_SPECS = [sr_spec(199, 1), csr_spec(2, 199)]
 
 @pytest.mark.parametrize("spec", LARGE_COMPLETE_SPECS, ids=[s.label() for s in LARGE_COMPLETE_SPECS])
 def test_orbital_searches_on_large_complete_graphs_stay_small(spec):
-    # K_199 under the search cap, from 199 positions or 198 units mod 199:
+    # K_199 under the search cap, from 198 swaps or one translation mod 199:
     # the maps are checked one at a time, so the peak is a few (N, degree)
     # arrays, not one per proposed map
     graph = indexed_graph(spec)
@@ -953,6 +957,24 @@ ORBITAL_GAMMA_SPECS = orbital_specs({
     "SR(6,4)", "SR(8,3)", "SR(9,3)", "SR(14,2)", "SR(15,2)", "SR(16,2)", "SR(17,2)",
     "SR(18,2)", "SR(19,2)", "CSR(3,13)", "CSR(8,2)",
 })
+
+
+CSR_ORBITAL_SPECS = [spec for spec in ORBITAL_ALPHA_SPECS if spec.family == "CSR"]
+
+
+@pytest.mark.parametrize("spec", CSR_ORBITAL_SPECS, ids=[s.label() for s in CSR_ORBITAL_SPECS])
+def test_csr_translations_alone_make_one_orbit(spec):
+    # the generators are the m - 1 translations (none on CSR(m,1)'s single
+    # vertex), each shifting every vertex by one vector mod n
+    graph = IndexedGraph(spec)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    rows = [{index[w] for w in neighbors(spec, v)} for v in graph.vertices]
+    assert_maps_and_orbits(graph, rows)
+    assert len(graph.generators) == (spec.m - 1 if spec.n > 1 else 0)
+    for p in graph.generators:
+        shift = (graph.coords[p] - graph.coords) % spec.n
+        assert (shift == shift[0]).all()
+    assert len(graph.orbits) == 1
 
 
 @pytest.mark.parametrize("spec", ORBITAL_ALPHA_SPECS, ids=[s.label() for s in ORBITAL_ALPHA_SPECS])
