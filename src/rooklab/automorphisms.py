@@ -31,7 +31,7 @@ from collections import defaultdict
 from typing import Iterator
 
 from . import config
-from .core import GraphSpec, csr_spec, units
+from .core import GraphSpec, _bits, check_cap, csr_spec, indexed_graph, units
 
 
 def euler_phi(n: int) -> int:
@@ -72,11 +72,9 @@ def oracle_aut_count(spec: GraphSpec) -> int:
     common-neighbor counts (degrees alone cannot tell vertices of these
     vertex-transitive graphs apart).
     """
-    # here, not at module level: the descriptor walk alone loads no search
-    from .oracles import _bit_graph, _bits
-
-    verts, adj = _bit_graph(spec, config.AUT_CAP, "automorphism search")
-    nv = len(verts)
+    check_cap(spec, config.AUT_CAP, "automorphism search")
+    adj = indexed_graph(spec).adjacency_bits
+    nv = len(adj)
 
     # common-neighbor counts; invariant signatures narrow initial candidates
     common = [[(adj[u] & adj[v]).bit_count() for v in range(nv)] for u in range(nv)]

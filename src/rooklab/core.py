@@ -166,8 +166,10 @@ def _binom_table(n: int, m: int) -> np.ndarray:
 
 def _csr_rows(m: int, n: int) -> np.ndarray:
     """Every free prefix of m - 1 residues in lexicographic order, which is
-    the order of the full vectors, with the last residue it fixes."""
-    prefix = np.indices((n,) * (m - 1), dtype=np.int64).reshape(m - 1, n ** (m - 1)).T
+    the order of the full vectors, with the last residue it fixes.  Prefixes
+    are digits of 0..n^(m-1) - 1, not a grid: numpy allows 64 dimensions."""
+    weight = n ** np.arange(m - 2, -1, -1, dtype=np.int64)
+    prefix = np.arange(n ** (m - 1), dtype=np.int64)[:, None] // weight % n
     return np.column_stack((prefix, -prefix.sum(axis=1) % n))
 
 
@@ -193,15 +195,14 @@ class IndexedGraph:
 
     def __init__(self, spec: GraphSpec) -> None:
         self.spec = spec
-        if spec.family == SR:
-            self.coords = _sr_rows(spec.m, spec.n)
-            # _binom[k, L] = C(L - 1 + k, k) for L = 0..n + 1; column L = 0
-            # is r = -1, zero for k >= 1
-            table = _binom_table(spec.n, spec.m)
-            self._binom = np.vstack((np.zeros((1, spec.m), dtype=np.int64), table)).T.copy()
-        else:
-            self.coords = _csr_rows(spec.m, spec.n)
+        self.coords = (_sr_rows if spec.family == SR else _csr_rows)(spec.m, spec.n)
         self.coords.flags.writeable = False
+
+    @functools.cached_property
+    def _binom(self) -> np.ndarray:
+        """_binom[k, L] = C(L - 1 + k, k), L = 0..n + 1 (L = 0 is r = -1: zero for k >= 1)."""
+        table = _binom_table(self.spec.n, self.spec.m)
+        return np.vstack((np.zeros((1, self.spec.m), dtype=np.int64), table)).T.copy()
 
     def _sr_after(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(left, after), each (m, len(coords)).  left[t] = L_t, n minus a
@@ -240,6 +241,8 @@ class IndexedGraph:
         the vertex coords[r] in ascending order."""
         spec = self.spec
         targets = allocate(np.empty, (len(coords), spec.degree), np.int64, "neighbour-index")
+        if spec.degree == 0:  # one vertex; the move tables below grow with n
+            return targets
         if spec.family == SR:
             self._sr_neighbours(coords, targets)
         else:
@@ -359,6 +362,13 @@ class IndexedGraph:
         mat = allocate(np.zeros, (len(self.coords),) * 2, dtype, "dense adjacency")
         mat[np.arange(len(mat))[:, None], self.targets] = 1
         return mat
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def units(n: int) -> list[int]:

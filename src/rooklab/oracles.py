@@ -64,34 +64,23 @@ import itertools
 import numpy as np
 
 from . import config
-from .core import CSR, SR, GraphSpec, IndexedGraph, Vertex, check_cap, indexed_graph, orbits
-from .core import validate_vertex
+from .core import CSR, SR, GraphSpec, IndexedGraph, Vertex, _bits, check_cap, indexed_graph
+from .core import orbits, validate_vertex
 
 
-def _bit_graph(
-    spec: GraphSpec, limit: int = config.SEARCH_CAP, name: str = "search"
-) -> tuple[list[Vertex], tuple[int, ...]]:
-    """Canonical vertex list plus one adjacency bitmask per vertex, after the
-    check against the named vertex cap."""
-    check_cap(spec, limit, name)
-    graph = indexed_graph(spec)
-    return list(graph.vertices), graph.adjacency_bits
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _search_graph(spec: GraphSpec) -> IndexedGraph:
+    """The spec's IndexedGraph, after the check against the search cap."""
+    check_cap(spec, config.SEARCH_CAP, "search")
+    return indexed_graph(spec)
 
 
 # -- maximum clique / independent set -----------------------------------------
 
 
-def _greedy_clique(adj: list[int], nv: int) -> list[int]:
+def _greedy_clique(adj: list[int]) -> list[int]:
     chosen: list[int] = []
-    cand = (1 << nv) - 1
-    for v in sorted(range(nv), key=lambda u: adj[u].bit_count(), reverse=True):
+    cand = (1 << len(adj)) - 1
+    for v in sorted(range(len(adj)), key=lambda u: adj[u].bit_count(), reverse=True):
         if cand >> v & 1:
             chosen.append(v)
             cand &= adj[v]
@@ -117,10 +106,10 @@ def _color_sort(p: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
-def _max_clique_bits(adj: list[int], nv: int, orbits=()) -> list[int]:
+def _max_clique_bits(adj: list[int], orbits=()) -> list[int]:
     """A maximum clique; with automorphism `orbits` that are not all single
     vertices, the root branches over them."""
-    best = _greedy_clique(adj, nv)
+    best = _greedy_clique(adj)
     stack: list[int] = []
 
     def expand(p: int) -> None:
@@ -139,33 +128,35 @@ def _max_clique_bits(adj: list[int], nv: int, orbits=()) -> list[int]:
             stack.pop()
             p &= ~(1 << v)
 
-    if 0 < len(orbits) < nv:
+    if 0 < len(orbits) < len(adj):
         banned = 0
         for orbit in orbits:
             stack.append(orbit[0])
             expand(adj[orbit[0]] & ~banned)
             stack.pop()
             banned |= sum(1 << v for v in orbit)
-    elif nv:
-        expand((1 << nv) - 1)
+    elif adj:
+        expand((1 << len(adj)) - 1)
     return sorted(best)
 
 
 def oracle_omega(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact clique number with a witness clique."""
-    verts, adj = _bit_graph(spec)
-    picked = _max_clique_bits(adj, len(verts))
+    graph = _search_graph(spec)
+    verts, adj = graph.vertices, graph.adjacency_bits
+    picked = _max_clique_bits(adj)
     return len(picked), [verts[i] for i in picked]
 
 
 def oracle_alpha(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact independence number: maximum clique of the complement, with
     the root branching over the vertex orbits."""
-    verts, adj = _bit_graph(spec)
+    graph = _search_graph(spec)
+    verts, adj = graph.vertices, graph.adjacency_bits
     nv = len(verts)
     full = (1 << nv) - 1
     comp = [full & ~adj[i] & ~(1 << i) for i in range(nv)]
-    picked = _max_clique_bits(comp, nv, indexed_graph(spec).orbits)
+    picked = _max_clique_bits(comp, graph.orbits)
     return len(picked), [verts[i] for i in picked]
 
 
@@ -258,36 +249,27 @@ def _cover_search(
     return None
 
 
-def _min_cover(closed: list[int], k: int) -> list[int] | None:
-    """At most k vertices whose closed neighborhoods cover every vertex, from
-    a plain root: the reference for `oracle_gamma`'s orbital one."""
-    nv = len(closed)
-    full = (1 << nv) - 1
-    bounds = [c.bit_count() for c in closed]
-    ranked = sorted(range(nv), key=bounds.__getitem__, reverse=True)
-    return _cover_search(full, k, full, bounds, ranked, closed, nv)
-
-
 def oracle_gamma(spec: GraphSpec) -> tuple[int, list[Vertex]]:
     """Exact domination number with the cover the search finds at it: k
     counts up from ceil(N / max |N[v]|), which no smaller cover can reach,
     to the first k with a cover, which exists by k = N.  The root branches
     over the vertex orbits."""
-    verts, adj = _bit_graph(spec)
+    graph = _search_graph(spec)
+    verts, adj = graph.vertices, graph.adjacency_bits
     nv = len(verts)
     closed = [adj[i] | (1 << i) for i in range(nv)]
     bounds = [c.bit_count() for c in closed]
     ranked = sorted(range(nv), key=bounds.__getitem__, reverse=True)
     full = (1 << nv) - 1
+    roots = [(orbit[0], sum(1 << v for v in orbit)) for orbit in graph.orbits]
     k = -(-nv // max(bounds))
     while True:
         banned = 0
-        for orbit in indexed_graph(spec).orbits:
-            rep = orbit[0]
+        for rep, mask in roots:
             unc, available = full & ~closed[rep], full & ~banned & ~(1 << rep)
             if (sub := _cover_search(unc, k - 1, available, bounds, ranked, closed, nv)) is not None:
                 return k, sorted(verts[i] for i in [rep, *sub])
-            banned |= sum(1 << v for v in orbit)
+            banned |= mask
         k += 1
 
 
@@ -433,15 +415,16 @@ def oracle_chi(
     coloring, which exists by k = N.  `alpha` is the exact independence
     number and `clique` the witness of `oracle_omega` when the caller has
     them; without them `oracle_alpha` and the clique search run."""
-    verts, adj = _bit_graph(spec)
+    graph = _search_graph(spec)
+    verts, adj = graph.vertices, graph.adjacency_bits
     if clique is None:
-        picked = _max_clique_bits(adj, len(verts))
+        picked = _max_clique_bits(adj)
     else:
         picked = [verts.index(v) for v in clique]
     if alpha is None:
         alpha = oracle_alpha(spec)[0]
     k = max(len(picked), -(-len(verts) // alpha))
-    orbit = _clique_orbit(indexed_graph(spec), picked)
+    orbit = _clique_orbit(graph, picked)
     while (colors := _k_coloring(adj, k, picked, orbit)) is None:
         k += 1
     return k, dict(zip(verts, colors))

@@ -12,9 +12,9 @@ from rooklab.automorphisms import (
     oracle_aut_count,
     outside_hypothesis,
 )
-from rooklab.core import CSR, SR, GraphSpec, csr_spec, enumerate_vertices, sr_spec
+from rooklab.core import CSR, SR, GraphSpec, _bits, csr_spec, enumerate_vertices, indexed_graph
+from rooklab.core import sr_spec
 from rooklab.errors import CapExceededError
-from rooklab.oracles import _bit_graph, _bits
 
 from descriptors import apply_automorphism, edge_array, identity_descriptor, preserves_adjacency
 from reference import edges
@@ -139,8 +139,8 @@ def leaf_aut_count(spec):
     """The automorphism count as it was before orbit-stabilizer: one
     backtracking tree whose leaves are the automorphisms, counted one by one.
     Kept as the reference the orbit-stabilizer count must match."""
-    verts, adj = _bit_graph(spec, spec.vertex_count)
-    nv = len(verts)
+    adj = indexed_graph(spec).adjacency_bits
+    nv = len(adj)
     if nv == 1:
         return 1
     full = (1 << nv) - 1
@@ -214,8 +214,8 @@ def candidate_aut_count(spec):
     walked first to last, one extension search for every candidate image.
     Kept as the reference the pruned count must match on graphs too large
     for the leaf counter."""
-    verts, adj = _bit_graph(spec, spec.vertex_count)
-    nv = len(verts)
+    adj = indexed_graph(spec).adjacency_bits
+    nv = len(adj)
     common = [[(adj[u] & adj[v]).bit_count() for v in range(nv)] for u in range(nv)]
     signature = [tuple(sorted(common[u][v] for v in _bits(adj[u]))) for u in range(nv)]
     sig_mask = {}

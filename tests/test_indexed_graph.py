@@ -6,10 +6,12 @@ of `edges`, and a pairwise scan of every residue class."""
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rooklab.cli import main
 from rooklab.constructions import (
     default_prime,
     proper_coloring,
@@ -21,6 +23,7 @@ from rooklab.core import (
     GraphSpec,
     IndexedGraph,
     _binom_table,
+    _csr_rows,
     adjacent,
     csr_spec,
     enumerate_vertices,
@@ -164,6 +167,46 @@ def test_binom_table_matches_comb(m, n):
     table = _binom_table(n, m)
     assert table.shape == (n + 1, m) and table.dtype == np.int64
     assert table.tolist() == [[math.comb(r + k, k) for k in range(m)] for r in range(n + 1)]
+
+
+@pytest.mark.parametrize("spec", [sr_spec(1, 10**9), csr_spec(1, 10**5)], ids=GraphSpec.label)
+def test_one_vertex_graph_with_large_n_stays_small(spec, capsys):
+    # degree 0: no neighbour table and no SR rank table grows with n
+    tracemalloc.start()
+    try:
+        graph = IndexedGraph(spec)
+        assert graph.targets.shape == (1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    argv = ["analyze", "--family", spec.family.lower(), "-m", "1", "-n", str(spec.n)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "summary discrepancy=no"
+
+
+def indices_rows(m, n):
+    """The CSR rows as `_csr_rows` built them from an np.indices grid, which
+    numpy allows up to 64 dimensions, so up to m = 65."""
+    prefix = np.indices((n,) * (m - 1), dtype=np.int64).reshape(m - 1, n ** (m - 1)).T
+    return np.column_stack((prefix, -prefix.sum(axis=1) % n))
+
+
+def test_csr_rows_match_indices_grid():
+    # every CSR spec with m <= 64, n <= 12 and N <= 10^5, and two with large n
+    specs = [(m, n) for m in range(1, 65) for n in range(1, 13) if n ** (m - 1) <= 10**5]
+    for m, n in specs + [(2, 10**5), (3, 316)]:
+        rows, reference = _csr_rows(m, n), indices_rows(m, n)
+        assert rows.shape == reference.shape == (n ** (m - 1), m), (m, n)
+        assert rows.dtype == reference.dtype and rows.tobytes() == reference.tobytes(), (m, n)
+
+
+def test_csr_past_64_dimensions_builds_one_vertex():
+    # CSR(m,1) is the zero vector alone; an np.indices grid stopped at m = 65
+    for m in range(65, 201):
+        graph = IndexedGraph(csr_spec(m, 1))
+        assert graph.coords.tolist() == [[0] * m]
+        assert graph.targets.shape == (1, 0)
 
 
 def test_arrays_read_only_and_cached():

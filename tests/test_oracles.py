@@ -16,6 +16,7 @@ from rooklab.cli import main
 from rooklab.constructions import anchor_edge, default_prime, hamiltonian_cycle_sr
 from rooklab.core import (
     IndexedGraph,
+    _bits,
     adjacent,
     csr_spec,
     enumerate_vertices,
@@ -25,11 +26,10 @@ from rooklab.core import (
 )
 from rooklab.errors import CapExceededError
 from rooklab.oracles import (
-    _bit_graph,
-    _bits,
     _clique_orbit,
     _k_coloring,
     _max_clique_bits,
+    _search_graph,
     all_pairs_distances,
     oracle_alpha,
     oracle_chi,
@@ -425,9 +425,9 @@ def test_chi_value_and_coloring(spec):
 @pytest.mark.parametrize("spec", CERTIFY_CHI, ids=[s.label() for s in CERTIFY_CHI])
 def test_k_coloring_matches_scan_reference(spec):
     # identical colour arrays (or None) for every k oracle_chi tries
-    verts, adj = _bit_graph(spec)
-    nv = len(verts)
-    clique = _max_clique_bits(adj, nv)
+    adj = _search_graph(spec).adjacency_bits
+    nv = len(adj)
+    clique = _max_clique_bits(adj)
     chi = oracle_chi(spec)[0]
     assert chi >= len(clique)
     for k in range(len(clique), chi + 1):
@@ -456,7 +456,7 @@ def test_k_coloring_matches_scan_on_random_graphs(seed):
     # CERTIFY_CHI graphs do not; every k from the clique size up to chi
     adj = random_graph(seed)
     nv = len(adj)
-    clique = _max_clique_bits(adj, nv)
+    clique = _max_clique_bits(adj)
     for k in range(len(clique), nv + 1):
         got = _k_coloring(adj, k, clique)
         assert got == scan_k_coloring(adj, nv, k, clique)
@@ -543,7 +543,7 @@ def test_k_coloring_odd_wheel_fails_one_color_short(rim):
     # hub 0 and rim 1..rim: the hub and any rim edge are a maximum clique,
     # and the hub's color leaves the odd rim two, as on the odd cycle above
     adj = [((1 << rim) - 1) << 1] + [1 | (c << 1) for c in cycle_graph(rim)]
-    clique = _max_clique_bits(adj, rim + 1)
+    clique = _max_clique_bits(adj)
     assert len(clique) == 3
     assert _k_coloring(adj, 3, clique) is None
     assert scan_k_coloring(adj, rim + 1, 3, clique) is None
@@ -556,7 +556,7 @@ def test_k_coloring_matches_scan_on_larger_random_graphs(seed):
     # the clique size, so the trees run many forced rounds between branches
     adj = random_graph(seed, (30, 60), (0.05, 0.3))
     nv = len(adj)
-    clique = _max_clique_bits(adj, nv)
+    clique = _max_clique_bits(adj)
     for k in range(len(clique), nv + 1):
         got = _k_coloring(adj, k, clique)
         assert got == scan_k_coloring(adj, nv, k, clique)
@@ -619,6 +619,18 @@ def scan_cover_search(unc: int, budget: int, available: int, closed: list[int], 
     return None
 
 
+def min_cover(closed: list[int], k: int) -> list[int] | None:
+    """At most k vertices whose closed neighborhoods cover every vertex, by
+    `_cover_search` from a plain root: the reference for `oracle_gamma`'s
+    orbital one.  The search is read from the module, so a counter patched
+    onto it sees every node."""
+    nv = len(closed)
+    full = (1 << nv) - 1
+    bounds = [c.bit_count() for c in closed]
+    ranked = sorted(range(nv), key=bounds.__getitem__, reverse=True)
+    return oracles._cover_search(full, k, full, bounds, ranked, closed, nv)
+
+
 def count_calls(monkeypatch, module, name):
     """Route module.name, and so its own recursion, through a call counter."""
     inner = getattr(module, name)
@@ -644,7 +656,7 @@ def assert_cover_search_matches_scan(adj, monkeypatch):
     scan_calls = count_calls(monkeypatch, here, "scan_cover_search")
     k = -(-nv // (max(a.bit_count() for a in adj) + 1))
     while True:
-        got = oracles._min_cover(closed, k)
+        got = min_cover(closed, k)
         assert got == here.scan_cover_search(full, k, full, closed, nv)
         assert new_calls == scan_calls  # the same tree, node for node
         if got is not None:
@@ -686,7 +698,7 @@ def test_gamma_value_and_cover(spec):
 @pytest.mark.parametrize("spec", GAMMA_SPECS, ids=[s.label() for s in GAMMA_SPECS])
 def test_cover_search_matches_scan_reference(spec, monkeypatch):
     # identical covers (or None) for every k oracle_gamma tries
-    adj = _bit_graph(spec)[1]
+    adj = _search_graph(spec).adjacency_bits
     assert assert_cover_search_matches_scan(adj, monkeypatch) == oracle_gamma(spec)[0]
 
 
@@ -773,8 +785,9 @@ SMALL_SPECS = [
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=[s.label() for s in SMALL_SPECS])
 def test_chi_with_orbit_matches_count_up_without(spec):
-    verts, adj = _bit_graph(spec)
-    clique = _max_clique_bits(adj, len(verts))
+    graph = _search_graph(spec)
+    verts, adj = graph.vertices, graph.adjacency_bits
+    clique = _max_clique_bits(adj)
     alpha = oracle_alpha(spec)[0]
     k = max(len(clique), -(-len(verts) // alpha))
     while _k_coloring(adj, k, clique) is None:
@@ -786,9 +799,10 @@ def test_chi_with_orbit_matches_count_up_without(spec):
 
 def clique_orbit(spec, graph=None):
     """_clique_orbit of the clique oracle_chi pre-colors, as vertices."""
-    verts, adj = _bit_graph(spec)
-    clique = _max_clique_bits(adj, len(verts))
-    u_bit, orbit = _clique_orbit(graph or indexed_graph(spec), clique)
+    searched = _search_graph(spec)
+    verts, adj = searched.vertices, searched.adjacency_bits
+    clique = _max_clique_bits(adj)
+    u_bit, orbit = _clique_orbit(graph or searched, clique)
     return [verts[i] for i in _bits(u_bit)], [verts[i] for i in _bits(orbit)]
 
 
@@ -874,15 +888,15 @@ def plain_alpha(adj):
     """A maximum independent set by the clique search with a plain root."""
     nv = len(adj)
     full = (1 << nv) - 1
-    return _max_clique_bits([full & ~adj[i] & ~(1 << i) for i in range(nv)], nv)
+    return _max_clique_bits([full & ~adj[i] & ~(1 << i) for i in range(nv)])
 
 
 def plain_gamma(adj):
-    """The domination number by `_min_cover` counted up as oracle_gamma
+    """The domination number by `min_cover` counted up as oracle_gamma
     counts it, without its orbital root."""
     closed = [a | (1 << i) for i, a in enumerate(adj)]
     k = -(-len(adj) // max(c.bit_count() for c in closed))
-    while oracles._min_cover(closed, k) is None:
+    while min_cover(closed, k) is None:
         k += 1
     return k
 
@@ -980,12 +994,12 @@ def test_csr_translations_alone_make_one_orbit(spec):
 @pytest.mark.parametrize("spec", ORBITAL_ALPHA_SPECS, ids=[s.label() for s in ORBITAL_ALPHA_SPECS])
 def test_orbital_alpha_matches_plain_search(spec):
     size, picked, rows = oracle_witness(oracle_alpha, spec)
-    assert size == len(plain_alpha(_bit_graph(spec)[1]))
+    assert size == len(plain_alpha(_search_graph(spec).adjacency_bits))
     assert not any(w in picked for v in picked for w in rows[v])
 
 
 @pytest.mark.parametrize("spec", ORBITAL_GAMMA_SPECS, ids=[s.label() for s in ORBITAL_GAMMA_SPECS])
 def test_orbital_gamma_matches_plain_search(spec):
     size, picked, rows = oracle_witness(oracle_gamma, spec)
-    assert size == plain_gamma(_bit_graph(spec)[1])
+    assert size == plain_gamma(_search_graph(spec).adjacency_bits)
     assert picked.union(*(rows[v] for v in picked)) == set(range(len(rows)))

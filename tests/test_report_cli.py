@@ -981,3 +981,21 @@ print(code, "rooklab.oracles" in sys.modules)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_cli_aut_oracle_leaves_search_modules_unloaded():
+    # a fresh interpreter: the orbit-stabilizer count reads the adjacency
+    # bitmasks from core, not through the search module
+    script = """
+import sys
+from rooklab.cli import main
+code = main(["aut", "-m", "4", "-n", "3", "--count-only", "--oracle"])
+print(code, "rooklab.oracles" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(rooklab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["oracle count=1296 matches-formula=yes", "0 False"]
